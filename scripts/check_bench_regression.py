@@ -7,6 +7,7 @@ The simulation benches are deterministic, so genuine drift in a makespan
 metric means the code got slower, not the machine. The default 25%
 threshold leaves room for intentional scenario tweaks while still
 catching order-of-magnitude mistakes; shrinkage (faster) never fails.
+A metric whose baseline is zero (e.g. a miss count) must stay zero.
 
 Usage:
   check_bench_regression.py --baseline bench/baselines/BENCH_workflow.json \
@@ -47,7 +48,13 @@ def main() -> int:
             continue
         base, now = float(baseline[metric]), float(fresh[metric])
         if base <= 0:
-            print(f"skip {metric}: non-positive baseline {base}")
+            # Growth against zero has no ratio, and skipping the metric
+            # would gate nothing: a zero baseline must stay zero.
+            verdict = "FAIL" if now > base else "ok"
+            print(f"{verdict:4} {metric}: baseline={base:.6g} fresh={now:.6g} "
+                  f"(zero baseline: must not grow)")
+            if now > base:
+                failed = True
             continue
         growth = (now - base) / base
         verdict = "FAIL" if growth > args.threshold else "ok"

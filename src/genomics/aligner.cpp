@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <map>
 #include <mutex>
+#include <tuple>
 
 #include "common/thread_pool.hpp"
 
@@ -191,11 +192,14 @@ std::vector<Alignment> MiniBlastAligner::alignRead(const Sequence& read,
 AlignerStats MiniBlastAligner::alignAll(const std::vector<Sequence>& reads,
                                         std::vector<Alignment>& out) const {
   AlignerStats total;
-  // Deterministic output order in both serial and parallel modes.
+  // Deterministic output order in both serial and parallel modes. The
+  // order must be total: a read can align on both strands at one
+  // refStart, and std::sort leaves such ties in whatever order the
+  // worker threads appended them.
   auto sortOutput = [&out] {
     std::sort(out.begin(), out.end(), [](const Alignment& a, const Alignment& b) {
-      if (a.readId != b.readId) return a.readId < b.readId;
-      return a.refStart < b.refStart;
+      return std::tie(a.readId, a.refStart, a.reverseStrand, a.readStart, a.length) <
+             std::tie(b.readId, b.refStart, b.reverseStrand, b.readStart, b.length);
     });
   };
 

@@ -62,16 +62,7 @@ void Cluster::failNode(const std::string& nodeName) {
     const std::string podKey = key(pod->namespaceName(), pod->name());
     // Is this pod backing a running/pending job? Then the job's current
     // attempt fails as if the container died with the node.
-    Job* owner = nullptr;
-    for (auto& [jk, job] : jobs_) {
-      if (job->podName() == pod->name() &&
-          job->namespaceName() == pod->namespaceName() &&
-          (job->status().state == JobState::kRunning ||
-           job->status().state == JobState::kPending)) {
-        owner = job.get();
-        break;
-      }
-    }
+    Job* owner = jobOfPod(podKey);
     if (owner != nullptr && owner->status().state == JobState::kRunning) {
       AppResult death;
       death.status = Status::Unavailable("node " + nodeName + " failed");
@@ -244,25 +235,38 @@ void Cluster::retryUnschedulable() {
 
 void Cluster::startPodOnNode(Pod& pod) {
   const std::string k = key(pod.namespaceName(), pod.name());
-  // Image pull + container start delay, then Running.
-  sim_.scheduleAfter(pod.spec().startupDelay, [this, k] {
+  // Image pull + container start delay, then Running. The timer belongs
+  // to this binding: a pod evicted meanwhile (failNode unbinds it and
+  // requeues it) must not start unbound, or it would run its job and
+  // later be re-bound as a finished pod whose requests never free.
+  sim_.scheduleAfter(pod.spec().startupDelay, [this, k, boundTo = pod.nodeName()] {
     auto it = pods_.find(k);
     if (it == pods_.end()) return;
     Pod& p = *it->second;
-    if (p.phase() != PodPhase::kPending) return;
+    if (p.phase() != PodPhase::kPending || p.nodeName() != boundTo) return;
     p.setPhase(PodPhase::kRunning);
     p.setStartTime(sim_.now());
     recordEvent("PodStarted", k, "on node " + p.nodeName());
 
     // If this pod belongs to a job, run the application now.
-    for (auto& [jk, job] : jobs_) {
-      if (job->podName() == p.name() && job->namespaceName() == p.namespaceName() &&
-          job->status().state == JobState::kPending) {
-        executeJobPod(*job, p);
-        break;
-      }
+    if (Job* job = jobOfPod(k); job != nullptr && job->status().state == JobState::kPending) {
+      executeJobPod(*job, p);
     }
   });
+}
+
+Job* Cluster::jobOfPod(const std::string& podKey) {
+  auto it = job_by_pod_.find(podKey);
+  if (it == job_by_pod_.end()) return nullptr;
+  const JobState state = it->second->status().state;
+  return state == JobState::kPending || state == JobState::kRunning ? it->second
+                                                                     : nullptr;
+}
+
+void Cluster::setJobPod(Job& job, std::string podName) {
+  job_by_pod_.erase(key(job.namespaceName(), job.podName()));
+  job_by_pod_[key(job.namespaceName(), podName)] = &job;
+  job.setPodName(std::move(podName));
 }
 
 void Cluster::releasePod(Pod& pod) {
@@ -411,9 +415,10 @@ Result<Job*> Cluster::createJob(const std::string& ns, const std::string& jobNam
   podSpec.args = spec.args;
   podSpec.priorityClass = spec.priorityClass;
   const std::string podName = jobName + "-pod-0";
-  raw->setPodName(podName);
+  setJobPod(*raw, podName);
   auto pod = createPod(ns, podName, std::move(podSpec));
   if (!pod.ok()) {
+    job_by_pod_.erase(key(ns, podName));
     jobs_.erase(k);
     return pod.status();
   }
@@ -507,7 +512,7 @@ void Cluster::finishJob(Job& job, Pod& pod, const AppResult& result) {
       podSpec.args = job.spec().args;
       const std::string podName =
           job.name() + "-pod-" + std::to_string(status.attempts);
-      job.setPodName(podName);
+      setJobPod(job, podName);
       auto created = createPod(job.namespaceName(), podName, std::move(podSpec));
       if (created.ok()) {
         retryUnschedulable();

@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -157,6 +158,10 @@ class Cluster {
   void executeJobPod(Job& job, Pod& pod);
   void finishJob(Job& job, Pod& pod, const AppResult& result);
   void releasePod(Pod& pod);
+  /// The Pending or Running job whose current pod is `podKey`, if any.
+  [[nodiscard]] Job* jobOfPod(const std::string& podKey);
+  /// Points `job` at a new current pod, keeping job_by_pod_ in step.
+  void setJobPod(Job& job, std::string podName);
 
   std::string name_;
   sim::Simulator& sim_;
@@ -170,6 +175,7 @@ class Cluster {
   std::map<std::string, std::unique_ptr<Service>> services_;  // key ns/name
   std::map<std::string, std::unique_ptr<PersistentVolumeClaim>> pvcs_;
   std::map<std::string, std::unique_ptr<Job>> jobs_;  // key ns/name
+  std::unordered_map<std::string, Job*> job_by_pod_;  // current pod key -> job
   std::map<std::string, AppRunner> apps_;
 
   std::deque<std::string> unschedulable_;  // pod keys awaiting capacity

@@ -8,6 +8,19 @@ namespace {
 bool isPoisoned(const Data& data) { return data.hasSignature() && !data.verify(); }
 }  // namespace
 
+bool ContentStore::ByName::operator()(LruList::iterator a,
+                                      LruList::iterator b) const noexcept {
+  return a->data.name() < b->data.name();
+}
+bool ContentStore::ByName::operator()(LruList::iterator a,
+                                      const Name& b) const noexcept {
+  return a->data.name() < b;
+}
+bool ContentStore::ByName::operator()(const Name& a,
+                                      LruList::iterator b) const noexcept {
+  return a < b->data.name();
+}
+
 void ContentStore::insert(const Data& data, sim::Time now) {
   if (capacity_ == 0) return;
   if (verify_inserts_ && isPoisoned(data)) {
@@ -16,12 +29,13 @@ void ContentStore::insert(const Data& data, sim::Time now) {
   }
   auto it = index_.find(data.name());
   if (it != index_.end()) {
-    it->second.first = Entry{data, now};
-    touch(it->second.second);
+    (*it)->data = data;
+    (*it)->arrival = now;
+    touch(*it);
     return;
   }
-  lru_.push_front(data.name());
-  index_.emplace(data.name(), std::make_pair(Entry{data, now}, lru_.begin()));
+  lru_.push_front(Entry{data, now, {}});
+  lru_.front().indexed = index_.insert(lru_.begin()).first;
   evictIfNeeded();
 }
 
@@ -40,13 +54,13 @@ std::optional<Data> ContentStore::find(const Interest& interest, sim::Time now) 
 
   if (!interest.canBePrefix()) {
     auto it = index_.find(name);
-    if (it != index_.end() && isPoisoned(it->second.first.data)) {
+    if (it != index_.end() && isPoisoned((*it)->data)) {
       ++poisoned_evictions_;
-      erase(it->first);
-    } else if (it != index_.end() && usable(it->second.first)) {
-      touch(it->second.second);
+      erase(it);
+    } else if (it != index_.end() && usable(**it)) {
+      touch(*it);
       ++hits_;
-      return it->second.first.data;
+      return (*it)->data;
     }
     ++misses_;
     return std::nullopt;
@@ -54,17 +68,17 @@ std::optional<Data> ContentStore::find(const Interest& interest, sim::Time now) 
 
   // CanBePrefix: scan names >= prefix until we leave the subtree.
   for (auto it = index_.lower_bound(name); it != index_.end();) {
-    if (!name.isPrefixOf(it->first)) break;
-    if (isPoisoned(it->second.first.data)) {
+    const Entry& entry = **it;
+    if (!name.isPrefixOf(entry.data.name())) break;
+    if (isPoisoned(entry.data)) {
       ++poisoned_evictions_;
-      auto victim = it++;
-      erase(victim->first);
+      erase(it++);
       continue;
     }
-    if (usable(it->second.first)) {
-      touch(it->second.second);
+    if (usable(entry)) {
+      touch(*it);
       ++hits_;
-      return it->second.first.data;
+      return entry.data;
     }
     ++it;
   }
@@ -74,9 +88,13 @@ std::optional<Data> ContentStore::find(const Interest& interest, sim::Time now) 
 
 void ContentStore::erase(const Name& name) {
   auto it = index_.find(name);
-  if (it == index_.end()) return;
-  lru_.erase(it->second.second);
+  if (it != index_.end()) erase(it);
+}
+
+void ContentStore::erase(Index::iterator it) {
+  const LruList::iterator entry = *it;
   index_.erase(it);
+  lru_.erase(entry);
 }
 
 void ContentStore::clear() {
@@ -94,10 +112,7 @@ void ContentStore::touch(LruList::iterator it) {
 }
 
 void ContentStore::evictIfNeeded() {
-  while (index_.size() > capacity_ && !lru_.empty()) {
-    index_.erase(lru_.back());
-    lru_.pop_back();
-  }
+  while (lru_.size() > capacity_) erase(lru_.back().indexed);
 }
 
 bool ContentStore::isFreshEnough(const Entry& entry, const Interest& interest,

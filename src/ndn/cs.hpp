@@ -13,8 +13,8 @@
 
 #include <cstdint>
 #include <list>
-#include <map>
 #include <optional>
+#include <set>
 
 #include "ndn/packet.hpp"
 #include "sim/time.hpp"
@@ -64,22 +64,35 @@ class ContentStore {
   }
 
  private:
-  struct Entry {
-    Data data;
-    sim::Time arrival;
+  // Each entry stores its name once, inside its Data. Entries live in
+  // the LRU list (front = most recently used); the ordered index holds
+  // list iterators sorted by that name, which is what CanBePrefix
+  // lookups scan.
+  struct Entry;
+  using LruList = std::list<Entry>;
+  struct ByName {
+    using is_transparent = void;
+    bool operator()(LruList::iterator a, LruList::iterator b) const noexcept;
+    bool operator()(LruList::iterator a, const Name& b) const noexcept;
+    bool operator()(const Name& a, LruList::iterator b) const noexcept;
   };
-  using LruList = std::list<Name>;
+  using Index = std::set<LruList::iterator, ByName>;
+  struct Entry {
+    Data data;  // never renamed while indexed
+    sim::Time arrival;
+    Index::iterator indexed;
+  };
 
   void touch(LruList::iterator it);
+  void erase(Index::iterator it);
   void evictIfNeeded();
 
   [[nodiscard]] bool isFreshEnough(const Entry& entry, const Interest& interest,
                                    sim::Time now) const noexcept;
 
   std::size_t capacity_;
-  // Ordered index enables prefix scans for CanBePrefix lookups.
-  std::map<Name, std::pair<Entry, LruList::iterator>> index_;
-  LruList lru_;  // front = most recently used
+  LruList lru_;
+  Index index_;
   bool verify_inserts_ = true;
   bool serve_stale_ = false;
   std::uint64_t hits_ = 0;

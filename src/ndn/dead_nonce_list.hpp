@@ -18,9 +18,11 @@ class DeadNonceList {
  public:
   explicit DeadNonceList(std::size_t capacity = 8192) : capacity_(capacity) {}
 
-  void add(const Name& name, std::uint32_t nonce) {
+  void add(const Name& name, std::uint32_t nonce) { add(name.hash(), nonce); }
+  /// As add(name, nonce), given name.hash() already computed.
+  void add(std::size_t nameHash, std::uint32_t nonce) {
     if (capacity_ == 0) return;
-    const std::uint64_t entry = hashOf(name, nonce);
+    const std::uint64_t entry = hashOf(nameHash, nonce);
     auto [it, inserted] = counts_.try_emplace(entry, 0);
     ++it->second;
     fifo_.push_back(entry);
@@ -35,15 +37,18 @@ class DeadNonceList {
   }
 
   [[nodiscard]] bool has(const Name& name, std::uint32_t nonce) const {
-    return counts_.count(hashOf(name, nonce)) > 0;
+    return has(name.hash(), nonce);
+  }
+  [[nodiscard]] bool has(std::size_t nameHash, std::uint32_t nonce) const {
+    return counts_.count(hashOf(nameHash, nonce)) > 0;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return fifo_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
  private:
-  static std::uint64_t hashOf(const Name& name, std::uint32_t nonce) noexcept {
-    std::uint64_t h = name.hash();
+  static std::uint64_t hashOf(std::size_t nameHash, std::uint32_t nonce) noexcept {
+    std::uint64_t h = nameHash;
     h ^= 0x9e3779b97f4a7c15ULL + nonce + (h << 6) + (h >> 2);
     return h;
   }

@@ -28,22 +28,27 @@ bool FibEntry::hasNextHop(FaceId face) const noexcept {
 }
 
 FibEntry& Fib::insert(const Name& prefix, FaceId face, std::uint64_t cost) {
-  auto [it, inserted] = entries_.try_emplace(prefix, FibEntry(prefix));
-  it->second.addOrUpdateNextHop(face, cost);
-  return it->second;
+  auto it = entries_.find(keyOf(prefix));
+  if (it == entries_.end()) {
+    auto entry = std::make_unique<FibEntry>(prefix);
+    const NamePrefix key = keyOf(entry->prefix());
+    it = entries_.emplace(key, std::move(entry)).first;
+  }
+  it->second->addOrUpdateNextHop(face, cost);
+  return *it->second;
 }
 
 void Fib::removeNextHop(const Name& prefix, FaceId face) {
-  auto it = entries_.find(prefix);
+  auto it = entries_.find(keyOf(prefix));
   if (it == entries_.end()) return;
-  it->second.removeNextHop(face);
-  if (it->second.empty()) entries_.erase(it);
+  it->second->removeNextHop(face);
+  if (it->second->empty()) entries_.erase(it);
 }
 
 void Fib::removeFaceFromAll(FaceId face) {
   for (auto it = entries_.begin(); it != entries_.end();) {
-    it->second.removeNextHop(face);
-    if (it->second.empty()) {
+    it->second->removeNextHop(face);
+    if (it->second->empty()) {
       it = entries_.erase(it);
     } else {
       ++it;
@@ -52,16 +57,18 @@ void Fib::removeFaceFromAll(FaceId face) {
 }
 
 const FibEntry* Fib::longestPrefixMatch(const Name& name) const {
+  thread_local std::vector<std::size_t> hashes;
+  name.prefixHashes(hashes);
   for (std::size_t len = name.size() + 1; len-- > 0;) {
-    auto it = entries_.find(name.prefix(len));
-    if (it != entries_.end() && !it->second.empty()) return &it->second;
+    auto it = entries_.find(NamePrefix{&name, len, hashes[len]});
+    if (it != entries_.end() && !it->second->empty()) return it->second.get();
   }
   return nullptr;
 }
 
 const FibEntry* Fib::findExact(const Name& prefix) const {
-  auto it = entries_.find(prefix);
-  return it == entries_.end() ? nullptr : &it->second;
+  auto it = entries_.find(keyOf(prefix));
+  return it == entries_.end() ? nullptr : it->second.get();
 }
 
 }  // namespace lidc::ndn

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -59,7 +60,13 @@ class Fib {
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
  private:
-  std::unordered_map<Name, FibEntry, NameHash> entries_;
+  [[nodiscard]] static NamePrefix keyOf(const Name& prefix) {
+    return NamePrefix{&prefix, prefix.size(), prefix.hash()};
+  }
+
+  // Keys borrow the entry's own prefix, so entries live behind a stable
+  // pointer.
+  std::unordered_map<NamePrefix, std::unique_ptr<FibEntry>, NamePrefixHash> entries_;
 };
 
 }  // namespace lidc::ndn

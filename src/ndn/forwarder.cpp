@@ -10,7 +10,7 @@ namespace lidc::ndn {
 Forwarder::Forwarder(std::string name, sim::Simulator& sim)
     : name_(std::move(name)), sim_(sim) {
   // Default strategy for the whole namespace, as in NFD.
-  strategies_.emplace(Name("/"), std::make_unique<BestRouteStrategy>(*this));
+  strategies_.push_back({Name("/"), std::make_unique<BestRouteStrategy>(*this)});
 }
 
 Forwarder::~Forwarder() = default;
@@ -46,17 +46,24 @@ void Forwarder::unregisterPrefix(const Name& prefix, FaceId face) {
 
 void Forwarder::setStrategy(const Name& prefix, std::unique_ptr<Strategy> strategy) {
   assert(strategy);
-  strategies_[prefix] = std::move(strategy);
+  for (auto& choice : strategies_) {
+    if (choice.prefix == prefix) {
+      choice.strategy = std::move(strategy);
+      return;
+    }
+  }
+  strategies_.push_back({prefix, std::move(strategy)});
 }
 
 Strategy& Forwarder::findStrategy(const Name& name) {
-  // Longest-prefix match over the strategy-choice table.
-  for (std::size_t len = name.size() + 1; len-- > 0;) {
-    auto it = strategies_.find(name.prefix(len));
-    if (it != strategies_.end()) return *it->second;
+  // Longest-prefix match; the root choice matches every name.
+  const StrategyChoice* best = &strategies_.front();
+  for (const auto& choice : strategies_) {
+    if (choice.prefix.size() > best->prefix.size() && choice.prefix.isPrefixOf(name)) {
+      best = &choice;
+    }
   }
-  // The root entry always exists.
-  return *strategies_.at(Name("/"));
+  return *best->strategy;
 }
 
 void Forwarder::attachTelemetry(telemetry::MetricsRegistry& registry,
@@ -181,9 +188,13 @@ void Forwarder::onIncomingInterest(Face& inFace, const Interest& interest) {
   // Hop limit.
   if (interest.hopLimit() == 0) return;
 
+  // The one full-name hash of this Interest: the Dead Nonce List and the
+  // PIT both key on it, and the PIT entry keeps it for erasure.
+  const std::size_t nameHash = interest.name().hash();
+
   // Dead Nonce List: a nonce that looped back after its PIT entry was
   // consumed is still a duplicate.
-  if (dnl_.has(interest.name(), interest.nonce())) {
+  if (dnl_.has(nameHash, interest.nonce())) {
     ++counters_.nDuplicateNonce;
     if (telemetry_) telemetry_->duplicateNonce->inc();
     hopInstant(interest, "nack-duplicate");
@@ -191,7 +202,7 @@ void Forwarder::onIncomingInterest(Face& inFace, const Interest& interest) {
     return;
   }
 
-  auto [entry, isNew] = pit_.insert(interest);
+  auto [entry, isNew] = pit_.insert(interest, nameHash);
 
   // Loop detection by nonce.
   if (!isNew && entry->isDuplicateNonce(interest.nonce(), inFace.id())) {
@@ -286,10 +297,10 @@ void Forwarder::onIncomingData(Face& inFace, const Data& data) {
 
 void Forwarder::recordDeadNonces(const PitEntry& entry) {
   for (const auto& in : entry.inRecords()) {
-    dnl_.add(entry.name(), in.nonce);
+    dnl_.add(entry.nameHash(), in.nonce);
   }
   for (const auto& out : entry.outRecords()) {
-    dnl_.add(entry.name(), out.nonce);
+    dnl_.add(entry.nameHash(), out.nonce);
   }
 }
 

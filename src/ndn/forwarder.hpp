@@ -5,10 +5,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "ndn/cs.hpp"
@@ -177,8 +177,13 @@ class Forwarder {
   std::unique_ptr<TelemetryHooks> telemetry_;
   telemetry::FlightRecorder* recorder_ = nullptr;
   telemetry::FlowAccountant* flow_ = nullptr;
-  // Strategy-choice table: ordered by name for longest-prefix resolution.
-  std::map<Name, std::unique_ptr<Strategy>> strategies_;
+  // Strategy-choice table; the root "/" choice is always first. It holds
+  // a handful of namespaces, so findStrategy() scans it.
+  struct StrategyChoice {
+    Name prefix;
+    std::unique_ptr<Strategy> strategy;
+  };
+  std::vector<StrategyChoice> strategies_;
 };
 
 }  // namespace lidc::ndn

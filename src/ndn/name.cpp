@@ -138,20 +138,38 @@ std::string Name::toUri() const {
   return out;
 }
 
-std::size_t Name::hash() const noexcept {
-  // FNV-1a over (length, bytes) pairs so component boundaries matter.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+namespace {
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+// FNV-1a over (length, bytes) pairs so component boundaries matter.
+void mixComponent(std::uint64_t& h, const Component& component) noexcept {
   auto mix = [&h](std::uint8_t byte) {
     h ^= byte;
     h *= 0x100000001b3ULL;
   };
-  for (const auto& component : components_) {
-    const std::size_t len = component.size();
-    mix(static_cast<std::uint8_t>(len & 0xFF));
-    mix(static_cast<std::uint8_t>((len >> 8) & 0xFF));
-    for (std::uint8_t byte : component.value()) mix(byte);
-  }
+  const std::size_t len = component.size();
+  mix(static_cast<std::uint8_t>(len & 0xFF));
+  mix(static_cast<std::uint8_t>((len >> 8) & 0xFF));
+  for (std::uint8_t byte : component.value()) mix(byte);
+}
+
+}  // namespace
+
+std::size_t Name::hash() const noexcept {
+  std::uint64_t h = kFnvOffset;
+  for (const auto& component : components_) mixComponent(h, component);
   return static_cast<std::size_t>(h);
+}
+
+void Name::prefixHashes(std::vector<std::size_t>& out) const {
+  out.resize(components_.size() + 1);
+  std::uint64_t h = kFnvOffset;
+  out[0] = static_cast<std::size_t>(h);
+  for (std::size_t i = 0; i < components_.size(); ++i) {
+    mixComponent(h, components_[i]);
+    out[i + 1] = static_cast<std::size_t>(h);
+  }
 }
 
 std::ostream& operator<<(std::ostream& os, const Name& name) {

@@ -5,6 +5,7 @@
 // status checks, and service endpoints are all Names.
 #pragma once
 
+#include <algorithm>
 #include <compare>
 #include <cstdint>
 #include <initializer_list>
@@ -110,11 +111,41 @@ class Name {
   /// FNV-1a hash over the wire bytes; suitable for unordered containers.
   [[nodiscard]] std::size_t hash() const noexcept;
 
+  /// One FNV-1a pass that leaves out[L] == prefix(L).hash() for every L
+  /// in [0, size()]. Longest-prefix probes use these instead of hashing
+  /// prefix() copies; `out` is resized, so a reused buffer never
+  /// allocates.
+  void prefixHashes(std::vector<std::size_t>& out) const;
+
  private:
   std::vector<Component> components_;
 };
 
+// Every packet and table entry holds Names; a cached-hash member would
+// grow each of them, so callers compute (prefix) hashes when they probe.
+static_assert(sizeof(Name) == sizeof(std::vector<Component>));
+
 std::ostream& operator<<(std::ostream& os, const Name& name);
+
+/// The first `len` components of `*name` with their hash (a
+/// prefixHashes() entry): a table key that borrows its name. Tables
+/// store keys pointing at the name their entry owns, and probe with
+/// prefixes of the packet name, so no lookup copies a component.
+struct NamePrefix {
+  const Name* name = nullptr;
+  std::size_t len = 0;
+  std::size_t hash = 0;
+
+  friend bool operator==(const NamePrefix& a, const NamePrefix& b) noexcept {
+    return a.len == b.len && a.hash == b.hash &&
+           std::equal(a.name->begin(), a.name->begin() + static_cast<long>(a.len),
+                      b.name->begin());
+  }
+};
+
+struct NamePrefixHash {
+  std::size_t operator()(const NamePrefix& p) const noexcept { return p.hash; }
+};
 
 struct NameHash {
   std::size_t operator()(const Name& name) const noexcept { return name.hash(); }

@@ -135,12 +135,12 @@ std::uint64_t Data::computeDigest() const {
 }
 
 Data& Data::sign() {
-  signature_ = computeDigest();
+  signature_ = contentDigest();
   wire_size_cache_ = 0;  // the SignatureValue block changes the encoding
   return *this;
 }
 
-bool Data::verify() const { return signature_ && *signature_ == computeDigest(); }
+bool Data::verify() const { return signature_ && *signature_ == contentDigest(); }
 
 tlv::Buffer Data::wireEncode() const {
   tlv::Encoder inner;

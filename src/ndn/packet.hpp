@@ -160,7 +160,7 @@ class Data {
   [[nodiscard]] const Name& name() const noexcept { return name_; }
   void setName(Name name) {
     name_ = std::move(name);
-    wire_size_cache_ = 0;
+    invalidateCaches();
   }
 
   [[nodiscard]] const std::vector<std::uint8_t>& content() const noexcept {
@@ -168,12 +168,12 @@ class Data {
   }
   Data& setContent(std::vector<std::uint8_t> content) {
     content_ = std::move(content);
-    wire_size_cache_ = 0;
+    invalidateCaches();
     return *this;
   }
   Data& setContent(std::string_view text) {
     content_.assign(text.begin(), text.end());
-    wire_size_cache_ = 0;
+    invalidateCaches();
     return *this;
   }
   [[nodiscard]] std::string contentAsString() const {
@@ -183,7 +183,7 @@ class Data {
   [[nodiscard]] ContentType contentType() const noexcept { return content_type_; }
   Data& setContentType(ContentType type) noexcept {
     content_type_ = type;
-    wire_size_cache_ = 0;
+    invalidateCaches();
     return *this;
   }
 
@@ -191,7 +191,7 @@ class Data {
   [[nodiscard]] sim::Duration freshnessPeriod() const noexcept { return freshness_; }
   Data& setFreshnessPeriod(sim::Duration period) noexcept {
     freshness_ = period;
-    wire_size_cache_ = 0;
+    invalidateCaches();
     return *this;
   }
 
@@ -202,8 +202,13 @@ class Data {
   /// True once sign() has run (or a signature arrived on the wire).
   [[nodiscard]] bool hasSignature() const noexcept { return signature_.has_value(); }
   /// Digest of the packet as it stands now — the value a matching
-  /// excludeDigest hint would carry for this exact copy.
-  [[nodiscard]] std::uint64_t contentDigest() const { return computeDigest(); }
+  /// excludeDigest hint would carry for this exact copy. Memoized: the
+  /// forwarder gate, CS admission, CS hits and the consumer all verify
+  /// the same bytes, and copies carry the memo along.
+  [[nodiscard]] std::uint64_t contentDigest() const {
+    if (!digest_cache_) digest_cache_ = computeDigest();
+    return *digest_cache_;
+  }
 
   [[nodiscard]] tlv::Buffer wireEncode() const;
   static Result<Data> wireDecode(std::span<const std::uint8_t> wire);
@@ -218,6 +223,12 @@ class Data {
 
  private:
   [[nodiscard]] std::uint64_t computeDigest() const;
+  /// Every setter of a digest input (name, content, content type,
+  /// freshness) also changes the encoding, so both caches go together.
+  void invalidateCaches() noexcept {
+    wire_size_cache_ = 0;
+    digest_cache_.reset();
+  }
 
   Name name_;
   std::vector<std::uint8_t> content_;
@@ -226,6 +237,7 @@ class Data {
   std::optional<std::uint64_t> signature_;
   /// 0 = unknown (a TLV encoding is never empty).
   mutable std::size_t wire_size_cache_ = 0;
+  mutable std::optional<std::uint64_t> digest_cache_;
 };
 
 /// Network NACK reasons (NDNLPv2 subset).

@@ -54,28 +54,29 @@ bool PitEntry::allUpstreamsNacked() const noexcept {
                      [](const OutRecord& r) { return r.nacked; });
 }
 
-Pit::InsertResult Pit::insert(const Interest& interest) {
-  const Key key = makeKey(interest);
-  auto it = entries_.find(key);
+Pit::InsertResult Pit::insert(const Interest& interest, std::size_t nameHash) {
+  auto it = entries_.find(makeKey(interest, nameHash));
   if (it != entries_.end()) return {it->second, false};
-  auto entry = std::make_shared<PitEntry>(interest);
-  entries_.emplace(key, entry);
+  auto entry = std::make_shared<PitEntry>(interest, nameHash);
+  entries_.emplace(makeKey(entry->interest(), nameHash), entry);
   return {entry, true};
 }
 
 std::shared_ptr<PitEntry> Pit::find(const Interest& interest) const {
-  auto it = entries_.find(makeKey(interest));
+  auto it = entries_.find(makeKey(interest, interest.name().hash()));
   return it == entries_.end() ? nullptr : it->second;
 }
 
 std::vector<std::shared_ptr<PitEntry>> Pit::findMatches(const Data& data) const {
   std::vector<std::shared_ptr<PitEntry>> matches;
   // Exact-name entries (CanBePrefix false or true), then every proper
-  // prefix with CanBePrefix set. Probing prefixes keeps this O(name length)
-  // rather than O(table size).
+  // prefix with CanBePrefix set. Probing prefixes by their hash keeps
+  // this O(name length) rather than O(table size), with no copies.
   const Name& dataName = data.name();
+  thread_local std::vector<std::size_t> hashes;
+  dataName.prefixHashes(hashes);
   for (std::size_t len = 0; len <= dataName.size(); ++len) {
-    const Name probe = dataName.prefix(len);
+    const NamePrefix probe{&dataName, len, hashes[len]};
     const bool exact = len == dataName.size();
     for (const bool mustBeFresh : {false, true}) {
       if (exact) {
@@ -91,7 +92,7 @@ std::vector<std::shared_ptr<PitEntry>> Pit::findMatches(const Data& data) const 
 
 void Pit::erase(const std::shared_ptr<PitEntry>& entry) {
   if (!entry) return;
-  entries_.erase(makeKey(entry->interest()));
+  entries_.erase(makeKey(entry->interest(), entry->nameHash()));
 }
 
 }  // namespace lidc::ndn

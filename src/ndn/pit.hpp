@@ -31,10 +31,16 @@ struct OutRecord {
 
 class PitEntry {
  public:
-  explicit PitEntry(Interest interest) : interest_(std::move(interest)) {}
+  explicit PitEntry(Interest interest)
+      : interest_(std::move(interest)), name_hash_(interest_.name().hash()) {}
+  PitEntry(Interest interest, std::size_t nameHash)
+      : interest_(std::move(interest)), name_hash_(nameHash) {}
 
   [[nodiscard]] const Interest& interest() const noexcept { return interest_; }
   [[nodiscard]] const Name& name() const noexcept { return interest_.name(); }
+  /// name().hash(), kept so erasure and Dead Nonce List records never
+  /// rehash the name.
+  [[nodiscard]] std::size_t nameHash() const noexcept { return name_hash_; }
 
   [[nodiscard]] std::vector<InRecord>& inRecords() noexcept { return in_records_; }
   [[nodiscard]] const std::vector<InRecord>& inRecords() const noexcept {
@@ -67,6 +73,7 @@ class PitEntry {
 
  private:
   Interest interest_;
+  std::size_t name_hash_;
   std::vector<InRecord> in_records_;
   std::vector<OutRecord> out_records_;
 };
@@ -79,8 +86,12 @@ class Pit {
     bool isNew = false;
   };
 
-  /// Finds or creates the entry for this Interest.
-  InsertResult insert(const Interest& interest);
+  /// Finds or creates the entry for this Interest; `nameHash` is
+  /// interest.name().hash(), computed once by the caller.
+  InsertResult insert(const Interest& interest, std::size_t nameHash);
+  InsertResult insert(const Interest& interest) {
+    return insert(interest, interest.name().hash());
+  }
 
   /// Finds the entry for this exact Interest (nullptr if absent).
   [[nodiscard]] std::shared_ptr<PitEntry> find(const Interest& interest) const;
@@ -95,20 +106,23 @@ class Pit {
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
  private:
+  // A key borrows its name: stored keys point at the entry's own
+  // Interest name, probes at a prefix of the Data name being matched.
   struct Key {
-    Name name;
+    NamePrefix name;
     bool canBePrefix;
     bool mustBeFresh;
     friend bool operator==(const Key&, const Key&) = default;
   };
   struct KeyHash {
     std::size_t operator()(const Key& k) const noexcept {
-      return k.name.hash() ^ (k.canBePrefix ? 0x9e3779b9U : 0U) ^
+      return k.name.hash ^ (k.canBePrefix ? 0x9e3779b9U : 0U) ^
              (k.mustBeFresh ? 0x85ebca6bU : 0U);
     }
   };
-  static Key makeKey(const Interest& interest) {
-    return Key{interest.name(), interest.canBePrefix(), interest.mustBeFresh()};
+  static Key makeKey(const Interest& interest, std::size_t nameHash) {
+    return Key{NamePrefix{&interest.name(), interest.name().size(), nameHash},
+               interest.canBePrefix(), interest.mustBeFresh()};
   }
 
   std::unordered_map<Key, std::shared_ptr<PitEntry>, KeyHash> entries_;

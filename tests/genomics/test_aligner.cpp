@@ -125,6 +125,43 @@ TEST_F(AlignerTest, ParallelAndSerialAgree) {
   }
 }
 
+TEST_F(AlignerTest, BothStrandTiesKeepOneOrderAcrossThreadCounts) {
+  // A read equal to its own reverse complement aligns on both strands at
+  // one refStart. Splice 64 such reads into the reference so the output
+  // holds many (readId, refStart) ties for the sort to order.
+  Rng rng(11);
+  std::string reference = randomBases(rng, 40'000);
+  std::vector<Sequence> reads;
+  for (std::size_t i = 0; i < 64; ++i) {
+    const std::string half = randomBases(rng, 50);
+    const std::string palindrome = half + reverseComplement(half);
+    reference.replace(300 + i * 600, palindrome.size(), palindrome);
+    reads.push_back({"P" + std::to_string(i), palindrome});
+  }
+
+  auto records = [&](unsigned threads) {
+    AlignerOptions options;
+    options.threads = threads;
+    MiniBlastAligner aligner(reference, options);
+    std::vector<Alignment> out;
+    aligner.alignAll(reads, out);
+    std::string text;
+    for (const auto& alignment : out) text += alignment.toRecord() + "\n";
+    return std::make_pair(out, text);
+  };
+
+  const auto [serialOut, serial] = records(1);
+  ASSERT_EQ(serialOut.size(), 2 * reads.size());
+  for (std::size_t i = 0; i < serialOut.size(); i += 2) {
+    ASSERT_EQ(serialOut[i].refStart, serialOut[i + 1].refStart);
+    EXPECT_FALSE(serialOut[i].reverseStrand);
+    EXPECT_TRUE(serialOut[i + 1].reverseStrand);
+  }
+  for (int repeat = 0; repeat < 50; ++repeat) {
+    ASSERT_EQ(records(2).second, serial) << "repeat " << repeat;
+  }
+}
+
 TEST_F(AlignerTest, RecordFormatIsTabular) {
   Alignment alignment;
   alignment.readId = "SRR.1";

@@ -88,6 +88,29 @@ TEST_F(NodeFailureTest, PendingPodEvictedAndRequeued) {
   EXPECT_EQ((*pod)->nodeName(), "n0");
 }
 
+TEST_F(NodeFailureTest, JobPodEvictedDuringStartupDoesNotLeakRequests) {
+  // The node dies inside the pod's 800 ms startup. The startup timer
+  // armed for that binding must not run the evicted, unbound pod;
+  // otherwise the finished pod is re-bound on recovery and its requests
+  // stay allocated forever.
+  JobSpec spec = sleepJob();
+  spec.requests = Resources{MilliCpu::fromCores(2), ByteSize::fromGiB(2)};
+  auto job = cluster_.createJob("default", "j", spec);
+  ASSERT_TRUE(job.ok());
+  sim_.runUntil(sim::Time() + sim::Duration::millis(300));
+  cluster_.failNode("n0");
+  sim_.runUntil(sim::Time() + sim::Duration::seconds(10));
+  EXPECT_EQ(runs_, 0);
+  EXPECT_EQ((*job)->status().state, JobState::kPending);
+
+  cluster_.setNodeReady("n0", true);
+  sim_.run();
+  EXPECT_EQ((*job)->status().state, JobState::kCompleted);
+  EXPECT_EQ(runs_, 1);
+  EXPECT_EQ(cluster_.totalFree().cpu, MilliCpu::fromCores(4));
+  EXPECT_EQ(cluster_.totalFree().memory, ByteSize::fromGiB(8));
+}
+
 TEST_F(NodeFailureTest, FailUnknownNodeIsNoop) {
   cluster_.failNode("ghost");  // must not crash
   EXPECT_EQ(cluster_.nodeCount(), 1u);

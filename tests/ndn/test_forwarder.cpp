@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "ndn/app_face.hpp"
 #include "net/link.hpp"
 
@@ -191,6 +193,52 @@ TEST_F(ForwarderTest, StrategyChoiceByLongestPrefix) {
                             std::make_unique<MulticastStrategy>(consumerNode_));
   EXPECT_EQ(consumerNode_.findStrategy(Name("/data/deep/name")).name(), "multicast");
   EXPECT_EQ(consumerNode_.findStrategy(Name("/other")).name(), "best-route");
+}
+
+TEST(ForwarderIntegrityTest, CorruptedLinkCopyFailsVerifyDespiteDigestMemo) {
+  // The producer's AppFace verifies (and so memoizes the digest of) every
+  // Data it puts. A bit-flip on the link must still be caught: the
+  // damaged copy's content change drops the memo it inherited.
+  sim::Simulator sim;
+  Forwarder consumer("consumer", sim);
+  Forwarder producer("producer", sim);
+  net::LinkParams params{sim::Duration::millis(5), 0.0, 0.0};
+  params.corruptRate = 1.0;
+  net::Link::connect(sim, consumer, producer, params);
+  auto consumerApp = std::make_shared<AppFace>("app://consumer", sim, 1);
+  consumer.addFace(consumerApp);
+  auto producerApp = std::make_shared<AppFace>("app://producer", sim, 2);
+  producer.addFace(producerApp);
+  producer.registerPrefix(Name("/data"), producerApp->id());
+  consumer.registerPrefix(Name("/data"), 1);
+  producerApp->setInterestHandler([&producerApp](const Interest& interest) {
+    Data data(interest.name());
+    data.setContent("payload");
+    data.sign();
+    producerApp->putData(std::move(data));
+  });
+
+  // Undefended consumer node: the damaged copy reaches the application.
+  consumer.setDataVerification(false);
+  std::optional<Data> received;
+  consumerApp->expressInterest(Interest(Name("/data/x")),
+                               [&](const Interest&, const Data& data) { received = data; });
+  sim.run();
+  ASSERT_TRUE(received.has_value());
+  EXPECT_NE(received->contentAsString(), "payload");
+  EXPECT_TRUE(received->hasSignature());
+  EXPECT_FALSE(received->verify());
+
+  // Defended node: the same damage is dropped at the integrity gate.
+  consumer.setDataVerification(true);
+  bool delivered = false;
+  Interest second(Name("/data/y"));
+  second.setLifetime(sim::Duration::seconds(1));
+  consumerApp->expressInterest(second,
+                               [&](const Interest&, const Data&) { delivered = true; });
+  sim.run();
+  EXPECT_FALSE(delivered);
+  EXPECT_EQ(consumer.counters().nIntegrityDrops, 1u);
 }
 
 }  // namespace

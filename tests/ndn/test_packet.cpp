@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 namespace lidc::ndn {
 namespace {
 
@@ -98,6 +102,38 @@ TEST(DataTest, WireSizeGrowsWithContent) {
   Data large(Name("/x"));
   large.setContent(std::string(10'000, 'a'));
   EXPECT_GT(large.wireSize(), small.wireSize() + 9'000);
+}
+
+TEST(DataTest, EveryDigestInputSetterInvalidatesTheDigestMemo) {
+  const std::vector<std::pair<const char*, std::function<void(Data&)>>> setters = {
+      {"setName", [](Data& d) { d.setName(Name("/x/z")); }},
+      {"setContent(bytes)",
+       [](Data& d) { d.setContent(std::vector<std::uint8_t>{1, 2, 3}); }},
+      {"setContent(text)", [](Data& d) { d.setContent("other"); }},
+      {"setContentType", [](Data& d) { d.setContentType(ContentType::kNack); }},
+      {"setFreshnessPeriod",
+       [](Data& d) { d.setFreshnessPeriod(sim::Duration::seconds(2)); }},
+  };
+  for (const auto& [label, mutate] : setters) {
+    Data data(Name("/x/y"));
+    data.setContent("payload");
+    data.setFreshnessPeriod(sim::Duration::seconds(1));
+    data.sign();
+    ASSERT_TRUE(data.verify()) << label;  // the memo is filled now
+    const std::uint64_t before = data.contentDigest();
+    const Data copy = data;  // carries the memo
+    mutate(data);
+    EXPECT_FALSE(data.verify()) << label;
+    EXPECT_NE(data.contentDigest(), before) << label;
+    // A decoded copy has no memo, so it recomputes from the fields.
+    const auto wire = data.wireEncode();
+    auto decoded = Data::wireDecode(std::span<const std::uint8_t>(wire));
+    ASSERT_TRUE(decoded.ok()) << label;
+    EXPECT_EQ(decoded->contentDigest(), data.contentDigest()) << label;
+    // The copy taken before the change still verifies.
+    EXPECT_TRUE(copy.verify()) << label;
+    EXPECT_EQ(copy.contentDigest(), before) << label;
+  }
 }
 
 TEST(NackTest, CarriesInterestAndReason) {
