@@ -4,11 +4,12 @@
 // decentralized data/compute coupling of the paper (SII: "the framework
 // also integrates data lakes built-upon content names").
 #include <cstdio>
+#include <vector>
 
 #include "common/strings.hpp"
 #include "core/client.hpp"
 #include "core/overlay.hpp"
-#include "core/replication.hpp"
+#include "replica/scheduler.hpp"
 
 int main() {
   using namespace lidc;
@@ -64,26 +65,32 @@ int main() {
   submitAndReport("dataless");
 
   std::printf("\n-- phase 3: stage the datasets over NDN -----------------\n");
-  // DataReplicator is now a thin wrapper over the replica plane's
-  // TransferScheduler: same one-shot API, but the fetches run through
-  // the priority-ordered staging queue with bounded concurrency.
-  core::DataReplicator replicator(fresh);
+  // The replica plane's staging queue pulls each dataset through the
+  // overlay with bounded concurrency and publishes it into the lake.
+  replica::TransferOptions stagingOptions;
+  stagingOptions.maxConcurrent = 8;
+  replica::TransferScheduler staging(fresh.forwarder(), fresh.store(),
+                                     fresh.name(), stagingOptions);
+  const std::vector<ndn::Name> datasets{ndn::Name("/ndn/k8s/data/human-ref"),
+                                        ndn::Name("/ndn/k8s/data/SRR2931415"),
+                                        ndn::Name("/ndn/k8s/data/SRR5139395")};
   const sim::Time stagingStart = sim.now();
-  replicator.replicateAll(
-      {ndn::Name("/ndn/k8s/data/human-ref"), ndn::Name("/ndn/k8s/data/SRR2931415"),
-       ndn::Name("/ndn/k8s/data/SRR5139395")},
-      [&](Status status) {
-        std::printf("staging %s: %llu objects, %s in %s\n",
-                    status.ok() ? "complete" : status.toString().c_str(),
-                    static_cast<unsigned long long>(replicator.objectsReplicated()),
-                    strings::formatBytes(replicator.bytesReplicated()).c_str(),
-                    (sim.now() - stagingStart).toString().c_str());
-        std::printf("transfer queue: %llu staged, %llu local hits\n",
-                    static_cast<unsigned long long>(
-                        replicator.scheduler().staged()),
-                    static_cast<unsigned long long>(
-                        replicator.scheduler().localHits()));
-      });
+  std::size_t pending = datasets.size();
+  Status firstError = Status::Ok();
+  for (const auto& dataset : datasets) {
+    staging.enqueue(dataset, {}, [&](Status status, std::uint64_t) {
+      if (!status.ok() && firstError.ok()) firstError = status;
+      if (--pending > 0) return;
+      std::printf("staging %s: %llu objects, %s in %s\n",
+                  firstError.ok() ? "complete" : firstError.toString().c_str(),
+                  static_cast<unsigned long long>(staging.staged()),
+                  strings::formatBytes(staging.bytesMoved()).c_str(),
+                  (sim.now() - stagingStart).toString().c_str());
+      std::printf("transfer queue: %llu staged, %llu local hits\n",
+                  static_cast<unsigned long long>(staging.staged()),
+                  static_cast<unsigned long long>(staging.localHits()));
+    });
+  }
   sim.run();
 
   std::printf("\n-- phase 4: the nearby cluster now wins -----------------\n");

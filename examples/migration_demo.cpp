@@ -18,7 +18,6 @@
 #include "core/checkpoint_format.hpp"
 #include "core/client.hpp"
 #include "core/overlay.hpp"
-#include "core/replication.hpp"
 #include "core/semantic_name.hpp"
 #include "migrate/checkpoint.hpp"
 #include "replica/directory.hpp"
@@ -212,18 +211,21 @@ int main() {
   spec.addStage(report);
 
   // The planned drain, mid-train: evacuate the DAG's intermediates to
-  // the survivor (one replicate call — the names are location
+  // the survivor (one staging enqueue — the names are location
   // independent, so consumers never change), steer new submits away,
   // then evict the pods. Exactly what an operator does before taking a
   // cluster down for maintenance.
-  core::DataReplicator evacuation(*west);
+  replica::TransferOptions evacuationOptions;
+  evacuationOptions.maxConcurrent = 8;
+  replica::TransferScheduler evacuation(west->forwarder(), west->store(), "west",
+                                        evacuationOptions);
   sim::ChaosEngine chaos(sim);
   chaos.drain("east-maintenance",
               sim::Time() + sim::Duration::seconds(kDrainAtSeconds), [&] {
                 std::printf("[drain] t=%.1fs east: evacuating intermediates, "
                             "withdrawing compute routes, evicting pods\n",
                             sim.now().toSeconds());
-                evacuation.replicate(lakeName("wf/demo/prep"), [](Status) {});
+                evacuation.enqueue(lakeName("wf/demo/prep"));
                 overlay.topology().uninstallRoutesTo(core::kComputePrefix,
                                                      "east");
                 overlay.topology().uninstallRoutesTo(core::kSubmitPrefix,

@@ -76,9 +76,8 @@ void ComputeCluster::enableCheckpointServing() {
   gateway_->enableCheckpointRestore(*store_);
 }
 
-void ComputeCluster::attachTelemetry(
-    telemetry::MetricsRegistry& registry, telemetry::Tracer* tracer,
-    telemetry::TelemetryPublisherOptions publisherOptions) {
+void ComputeCluster::attachTelemetry(telemetry::MetricsRegistry& registry,
+                                     telemetry::Tracer* tracer) {
   forwarder_.attachTelemetry(registry, tracer);
   gateway_->attachTelemetry(registry, tracer);
 
@@ -103,7 +102,7 @@ void ComputeCluster::attachTelemetry(
   });
 
   publisher_ = std::make_unique<telemetry::TelemetryPublisher>(
-      forwarder_, registry, config_.name, publisherOptions);
+      forwarder_, registry, config_.name);
   publisher_->addGroup("forwarder", "lidc_forwarder");
   publisher_->addGroup("gateway", "lidc_gateway");
   if (config_.tenants != nullptr) {

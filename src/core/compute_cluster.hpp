@@ -72,8 +72,7 @@ class ComputeCluster {
   /// counters, K8s capacity gauges, and a TelemetryPublisher serving the
   /// registry under /ndn/k8s/telemetry/<name>. Call once.
   void attachTelemetry(telemetry::MetricsRegistry& registry,
-                       telemetry::Tracer* tracer = nullptr,
-                       telemetry::TelemetryPublisherOptions publisherOptions = {});
+                       telemetry::Tracer* tracer = nullptr);
   [[nodiscard]] telemetry::TelemetryPublisher* telemetryPublisher() noexcept {
     return publisher_.get();
   }

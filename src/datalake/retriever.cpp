@@ -19,6 +19,8 @@ struct Retriever::Transfer {
   std::map<std::uint64_t, int> integrityAttempts;
   int metaIntegrityAttempts = 0;
   bool finished = false;
+  /// Set while pumpWindow() is issuing (see there).
+  bool pumping = false;
   telemetry::TraceContext trace;
   telemetry::FlowLabel label;
 };
@@ -126,12 +128,18 @@ void Retriever::fetchMeta(std::shared_ptr<Transfer> transfer, int attempt,
 }
 
 void Retriever::pumpWindow(const std::shared_ptr<Transfer>& transfer) {
+  // A Content Store hit delivers Data synchronously, re-entering here
+  // from fetchSegment()'s Data callback. The nested call returns and the
+  // outer loop keeps issuing: same order, no stack level per segment.
+  if (transfer->pumping) return;
+  transfer->pumping = true;
   while (transfer->inFlight < options_.window &&
          transfer->nextToRequest < transfer->totalSegments) {
     const std::uint64_t index = transfer->nextToRequest++;
     ++transfer->inFlight;
     fetchSegment(transfer, index, 0);
   }
+  transfer->pumping = false;
 }
 
 void Retriever::fetchSegment(std::shared_ptr<Transfer> transfer, std::uint64_t index,

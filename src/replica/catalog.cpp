@@ -1,12 +1,6 @@
 #include "replica/catalog.hpp"
 
-#include "common/strings.hpp"
-
 namespace lidc::replica {
-
-namespace {
-constexpr const char* kMapComponent = "_map";
-}
 
 std::string_view replicaStateName(ReplicaState state) noexcept {
   switch (state) {
@@ -26,18 +20,13 @@ std::optional<ReplicaState> parseReplicaState(std::string_view text) noexcept {
   return std::nullopt;
 }
 
-ReplicaCatalog::ReplicaCatalog(ndn::Forwarder& forwarder, std::string clusterName,
-                               ReplicaCatalogOptions options)
-    : forwarder_(forwarder),
-      cluster_name_(std::move(clusterName)),
-      options_(options) {
-  ndn::Name prefix = kReplicaPrefix;
-  prefix.append(cluster_name_);
-  face_ = std::make_shared<ndn::AppFace>("app://replica-catalog/" + cluster_name_,
-                                         forwarder_.simulator());
-  face_->setInterestHandler([this](const ndn::Interest& i) { handleInterest(i); });
-  face_id_ = forwarder_.addFace(face_);
-  forwarder_.registerPrefix(prefix, face_id_, /*cost=*/0);
+ReplicaCatalog::ReplicaCatalog(ndn::Forwarder& forwarder, std::string clusterName)
+    : SnapshotPublisher(forwarder, ndn::Name(kReplicaPrefix).append(clusterName),
+                        "app://replica-catalog/" + clusterName,
+                        kReplicaMapComponent,
+                        /*snapshotInterval=*/sim::Duration()),
+      cluster_name_(std::move(clusterName)) {
+  addStream("", [this] { return exportMap(); }, [this] { return revision_; });
 }
 
 void ReplicaCatalog::record(const ndn::Name& dataset, std::uint64_t bytes,
@@ -92,70 +81,6 @@ std::string ReplicaCatalog::exportMap() const {
            ";state=" + std::string(replicaStateName(entry.state)) + "\n";
   }
   return out;
-}
-
-void ReplicaCatalog::handleInterest(const ndn::Interest& interest) {
-  // /ndn/k8s/replica/<cluster>/<_map | seq>
-  const ndn::Name& name = interest.name();
-  if (name.size() != kReplicaPrefix.size() + 2) {
-    ++rejected_;
-    face_->putNack(interest, ndn::NackReason::kNoRoute);
-    return;
-  }
-  const std::string selector = name[name.size() - 1].toString();
-  if (selector == kMapComponent) {
-    replyManifest(interest);
-    return;
-  }
-  const auto seq = strings::parseUint(selector);
-  if (!seq) {
-    ++rejected_;
-    face_->putNack(interest, ndn::NackReason::kNoRoute);
-    return;
-  }
-  replySnapshot(interest, *seq);
-}
-
-void ReplicaCatalog::refresh() {
-  // A new sequence only when the map actually changed, so directories
-  // keep reusing the manifest while the lake is quiet.
-  if (seq_ != 0 && revision_ == exported_revision_) return;
-  exported_revision_ = revision_;
-  ++seq_;
-  generated_at_ = forwarder_.simulator().now();
-  snapshots_[seq_] = exportMap();
-  ++snapshots_generated_;
-  while (snapshots_.size() > options_.retainedSnapshots) {
-    snapshots_.erase(snapshots_.begin());
-  }
-}
-
-void ReplicaCatalog::replyManifest(const ndn::Interest& interest) {
-  refresh();
-  ++served_;
-  ndn::Data manifest(interest.name());
-  manifest
-      .setContent("seq=" + std::to_string(seq_) + ";generated=" +
-                  std::to_string(generated_at_.toNanos()))
-      .setFreshnessPeriod(options_.manifestFreshness)
-      .sign();
-  face_->putData(std::move(manifest));
-}
-
-void ReplicaCatalog::replySnapshot(const ndn::Interest& interest,
-                                   std::uint64_t seq) {
-  auto it = snapshots_.find(seq);
-  if (it == snapshots_.end()) {
-    ++rejected_;
-    face_->putNack(interest, ndn::NackReason::kNoRoute);
-    return;
-  }
-  ++served_;
-  ndn::Data snapshot(interest.name());
-  snapshot.setContent(it->second)
-      .setFreshnessPeriod(options_.snapshotFreshness)
-      .sign();
-  face_->putData(std::move(snapshot));
 }
 
 }  // namespace lidc::replica

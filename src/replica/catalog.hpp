@@ -1,34 +1,30 @@
 // Replica catalog — the authoritative per-cluster map of which named
-// datasets this cluster's lake holds, in which state, published on the
-// named plane exactly like the telemetry monitoring plane:
+// datasets this cluster's lake holds, in which state, published through
+// the named-snapshot protocol (telemetry/snapshot.hpp):
 //
 //   /ndn/k8s/replica/<cluster>/_map    -> "seq=N;generated=<ns>"
 //   /ndn/k8s/replica/<cluster>/<seq>   -> sorted "dataset=...;bytes=...;
 //                                         version=...;state=..." lines
 //
-// The `_map` manifest is short-freshness Data (MustBeFresh Interests
-// reach a live catalog once the cached copy ages out); the per-seq
-// snapshot is immutable long-freshness Data served from Content Stores
-// along the path, so any number of directories can resolve "who has
-// /ndn/k8s/data/X" with one cached Interest. Snapshots are exported on
-// demand when the map's revision moved — idle simulations still drain.
+// A new seq is cut only when the map's revision moved, so any number of
+// directories resolve "who has /ndn/k8s/data/X" from cached Data.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "datalake/object_store.hpp"
-#include "ndn/app_face.hpp"
 #include "ndn/forwarder.hpp"
+#include "telemetry/snapshot.hpp"
 
 namespace lidc::replica {
 
 /// Root of the replica-management namespace.
 inline const ndn::Name kReplicaPrefix{"/ndn/k8s/replica"};
+/// Manifest component under /ndn/k8s/replica/<cluster>.
+inline constexpr const char* kReplicaMapComponent = "_map";
 
 /// Lifecycle of one (dataset, cluster) replica.
 enum class ReplicaState {
@@ -48,21 +44,11 @@ struct ReplicaEntry {
   ReplicaState state = ReplicaState::kStaging;
 };
 
-struct ReplicaCatalogOptions {
-  /// Freshness on the `_map` manifest (directories send MustBeFresh).
-  sim::Duration manifestFreshness = sim::Duration::millis(500);
-  /// Freshness on immutable per-seq snapshots (CS-cacheable).
-  sim::Duration snapshotFreshness = sim::Duration::hours(1);
-  /// How many historical snapshots stay answerable.
-  std::size_t retainedSnapshots = 8;
-};
-
-class ReplicaCatalog {
+class ReplicaCatalog : public telemetry::SnapshotPublisher {
  public:
   /// Attaches to the cluster's gateway forwarder, registering
   /// /ndn/k8s/replica/<cluster> toward a new AppFace.
-  ReplicaCatalog(ndn::Forwarder& forwarder, std::string clusterName,
-                 ReplicaCatalogOptions options = {});
+  ReplicaCatalog(ndn::Forwarder& forwarder, std::string clusterName);
 
   /// Upserts a replica record (bumps the entry version on change).
   void record(const ndn::Name& dataset, std::uint64_t bytes, ReplicaState state);
@@ -85,35 +71,11 @@ class ReplicaCatalog {
   [[nodiscard]] const std::string& clusterName() const noexcept {
     return cluster_name_;
   }
-  [[nodiscard]] std::uint64_t interestsServed() const noexcept { return served_; }
-  [[nodiscard]] std::uint64_t interestsRejected() const noexcept {
-    return rejected_;
-  }
-  [[nodiscard]] std::uint64_t snapshotsGenerated() const noexcept {
-    return snapshots_generated_;
-  }
 
  private:
-  void handleInterest(const ndn::Interest& interest);
-  void replyManifest(const ndn::Interest& interest);
-  void replySnapshot(const ndn::Interest& interest, std::uint64_t seq);
-  /// Exports a new snapshot if the revision moved since the last one.
-  void refresh();
-
-  ndn::Forwarder& forwarder_;
   std::string cluster_name_;
-  ReplicaCatalogOptions options_;
-  std::shared_ptr<ndn::AppFace> face_;
-  ndn::FaceId face_id_ = ndn::kInvalidFaceId;
   std::map<std::string, ReplicaEntry> entries_;  // dataset URI -> entry
   std::uint64_t revision_ = 0;
-  std::uint64_t seq_ = 0;  // 0 = nothing exported yet
-  std::uint64_t exported_revision_ = 0;
-  sim::Time generated_at_;
-  std::map<std::uint64_t, std::string> snapshots_;
-  std::uint64_t snapshots_generated_ = 0;
-  std::uint64_t served_ = 0;
-  std::uint64_t rejected_ = 0;
 };
 
 }  // namespace lidc::replica

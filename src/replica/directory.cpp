@@ -32,141 +32,18 @@ std::map<std::string, ReplicaEntry> parseReplicaMap(std::string_view text) {
   return entries;
 }
 
-ReplicaDirectory::ReplicaDirectory(ndn::Forwarder& forwarder,
-                                   ReplicaDirectoryOptions options)
-    : forwarder_(forwarder), sim_(forwarder.simulator()), options_(options) {
-  face_ = std::make_shared<ndn::AppFace>("app://replica-directory", sim_,
-                                         /*nonceSeed=*/0x4e5d);
-  face_id_ = forwarder_.addFace(face_);
-}
+ReplicaDirectory::ReplicaDirectory(ndn::Forwarder& forwarder)
+    : SnapshotScraper(forwarder, "app://replica-directory", /*nonceSeed=*/0x4e5d,
+                      kReplicaPrefix, /*stream=*/"", kReplicaMapComponent,
+                      telemetry::ScrapeTiming{}) {}
 
 void ReplicaDirectory::watchCluster(const std::string& cluster) {
-  if (std::find(watched_.begin(), watched_.end(), cluster) == watched_.end()) {
-    watched_.push_back(cluster);
-    views_[cluster];
-  }
+  watch(cluster, views_[cluster]);
 }
 
-std::vector<std::string> ReplicaDirectory::watchedClusters() const {
-  return watched_;
-}
-
-void ReplicaDirectory::scrapeOnce(std::function<void()> done) {
-  if (watched_.empty()) {
-    if (done) done();
-    return;
-  }
-  auto remaining = std::make_shared<std::size_t>(watched_.size());
-  auto onClusterDone = [remaining, done = std::move(done)]() {
-    if (--*remaining == 0 && done) done();
-  };
-  for (const auto& cluster : watched_) {
-    ++counters_.scrapesStarted;
-    scrapeCluster(cluster, onClusterDone);
-  }
-}
-
-void ReplicaDirectory::scrapeCluster(const std::string& cluster,
-                                     std::function<void()> done) {
-  ndn::Name manifest = kReplicaPrefix;
-  manifest.append(cluster);
-  manifest.append("_map");
-  ndn::Interest interest(manifest);
-  interest.setMustBeFresh(true).setLifetime(options_.interestLifetime);
-  face_->expressInterest(
-      std::move(interest),
-      [this, cluster, done](const ndn::Interest&, const ndn::Data& data) {
-        if (!data.verify()) {
-          ++counters_.signatureFailures;
-          ++counters_.scrapesFailed;
-          if (done) done();
-          return;
-        }
-        std::uint64_t seq = 0;
-        const std::string content = data.contentAsString();
-        for (auto field : strings::splitSkipEmpty(content, ';')) {
-          if (strings::startsWith(field, "seq=")) {
-            if (auto parsed = strings::parseUint(field.substr(4))) seq = *parsed;
-          }
-        }
-        if (seq == 0) {
-          ++counters_.scrapesFailed;
-          if (done) done();
-          return;
-        }
-        ClusterMap& view = views_[cluster];
-        if (view.everScraped && view.seq == seq) {
-          ++counters_.manifestReuses;
-          ++counters_.scrapesSucceeded;
-          view.lastUpdated = sim_.now();
-          if (done) done();
-          return;
-        }
-        fetchSnapshot(cluster, seq, std::move(done));
-      },
-      [this, done](const ndn::Interest&, const ndn::Nack&) {
-        ++counters_.scrapesFailed;
-        if (done) done();
-      },
-      [this, done](const ndn::Interest&) {
-        ++counters_.scrapesFailed;
-        if (done) done();
-      });
-}
-
-void ReplicaDirectory::fetchSnapshot(const std::string& cluster,
-                                     std::uint64_t seq,
-                                     std::function<void()> done) {
-  ndn::Name name = kReplicaPrefix;
-  name.append(cluster);
-  name.appendNumber(seq);
-  // Immutable versioned Data: no MustBeFresh, any Content Store on the
-  // path may answer.
-  ndn::Interest interest(name);
-  interest.setLifetime(options_.interestLifetime);
-  face_->expressInterest(
-      std::move(interest),
-      [this, cluster, seq, done](const ndn::Interest&, const ndn::Data& data) {
-        if (!data.verify()) {
-          ++counters_.signatureFailures;
-          ++counters_.scrapesFailed;
-          if (done) done();
-          return;
-        }
-        ClusterMap& view = views_[cluster];
-        view.seq = seq;
-        view.entries = parseReplicaMap(data.contentAsString());
-        view.lastUpdated = sim_.now();
-        view.everScraped = true;
-        ++counters_.snapshotsFetched;
-        ++counters_.scrapesSucceeded;
-        if (done) done();
-      },
-      [this, done](const ndn::Interest&, const ndn::Nack&) {
-        ++counters_.scrapesFailed;
-        if (done) done();
-      },
-      [this, done](const ndn::Interest&) {
-        ++counters_.scrapesFailed;
-        if (done) done();
-      });
-}
-
-void ReplicaDirectory::start() {
-  if (running_) return;
-  running_ = true;
-  scrapeTick();
-}
-
-void ReplicaDirectory::stop() {
-  running_ = false;
-  tick_.cancel();
-}
-
-void ReplicaDirectory::scrapeTick() {
-  if (!running_) return;
-  scrapeOnce();
-  tick_ = sim_.scheduleAfter(options_.scrapeInterval, [this] { scrapeTick(); });
+void ReplicaDirectory::applySnapshot(const std::string& cluster,
+                                     std::string text) {
+  views_.at(cluster).entries = parseReplicaMap(text);
 }
 
 const ReplicaDirectory::ClusterMap* ReplicaDirectory::view(
@@ -175,23 +52,23 @@ const ReplicaDirectory::ClusterMap* ReplicaDirectory::view(
   return it == views_.end() ? nullptr : &it->second;
 }
 
-bool ReplicaDirectory::isStale(const std::string& cluster) const {
-  const ClusterMap* v = view(cluster);
-  if (!v || !v->everScraped) return true;
-  return sim_.now() - v->lastUpdated > options_.freshnessWindow;
+const ReplicaEntry* ReplicaDirectory::readyEntry(const std::string& cluster,
+                                                 const std::string& uri) const {
+  if (isStale(cluster)) return nullptr;
+  const auto& entries = views_.at(cluster).entries;
+  auto it = entries.find(uri);
+  if (it == entries.end() || it->second.state != ReplicaState::kReady) {
+    return nullptr;
+  }
+  return &it->second;
 }
 
 std::vector<std::string> ReplicaDirectory::holders(
     const ndn::Name& dataset) const {
   std::vector<std::string> out;
   const std::string uri = dataset.toUri();
-  for (const auto& cluster : watched_) {
-    if (isStale(cluster)) continue;
-    const ClusterMap* v = view(cluster);
-    auto it = v->entries.find(uri);
-    if (it != v->entries.end() && it->second.state == ReplicaState::kReady) {
-      out.push_back(cluster);
-    }
+  for (const auto& cluster : watchedClusters()) {
+    if (readyEntry(cluster, uri) != nullptr) out.push_back(cluster);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -200,20 +77,15 @@ std::vector<std::string> ReplicaDirectory::holders(
 std::optional<std::uint64_t> ReplicaDirectory::bytesOf(
     const ndn::Name& dataset) const {
   const std::string uri = dataset.toUri();
-  for (const auto& cluster : watched_) {
-    if (isStale(cluster)) continue;
-    const ClusterMap* v = view(cluster);
-    auto it = v->entries.find(uri);
-    if (it != v->entries.end() && it->second.state == ReplicaState::kReady) {
-      return it->second.bytes;
-    }
+  for (const auto& cluster : watchedClusters()) {
+    if (const ReplicaEntry* entry = readyEntry(cluster, uri)) return entry->bytes;
   }
   return std::nullopt;
 }
 
 std::vector<std::string> ReplicaDirectory::knownDatasets() const {
   std::set<std::string> uris;
-  for (const auto& cluster : watched_) {
+  for (const auto& cluster : watchedClusters()) {
     if (isStale(cluster)) continue;
     for (const auto& [uri, entry] : view(cluster)->entries) uris.insert(uri);
   }
@@ -222,16 +94,17 @@ std::vector<std::string> ReplicaDirectory::knownDatasets() const {
 
 void ReplicaDirectory::attachTelemetry(telemetry::MetricsRegistry& registry) {
   registry.registerCollector([this, &registry] {
+    const telemetry::ScrapeCounters& counters = this->counters();
     registry.counter("lidc_replica_directory_scrapes_total")
-        .set(static_cast<double>(counters_.scrapesStarted));
+        .set(static_cast<double>(counters.scrapesStarted));
     registry.counter("lidc_replica_directory_scrape_failures_total")
-        .set(static_cast<double>(counters_.scrapesFailed));
+        .set(static_cast<double>(counters.scrapesFailed));
     registry.counter("lidc_replica_directory_manifest_reuses_total")
-        .set(static_cast<double>(counters_.manifestReuses));
+        .set(static_cast<double>(counters.manifestReuses));
     registry.counter("lidc_replica_directory_snapshots_fetched_total")
-        .set(static_cast<double>(counters_.snapshotsFetched));
+        .set(static_cast<double>(counters.snapshotsFetched));
     double stale = 0.0;
-    for (const auto& cluster : watched_) {
+    for (const auto& cluster : watchedClusters()) {
       if (isStale(cluster)) stale += 1.0;
     }
     registry.gauge("lidc_replica_directory_stale_clusters").set(stale);

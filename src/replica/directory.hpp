@@ -1,7 +1,6 @@
 // Replica directory — the consumer side of the replica plane. An ops
 // host (or gateway) scrapes every watched cluster's catalog through
-// ordinary Interests (`_map` manifest, then the immutable per-seq
-// snapshot, with manifest reuse when nothing changed) and answers
+// the named-snapshot protocol (telemetry/snapshot.hpp) and answers
 // "which clusters hold /ndn/k8s/data/X?" from the merged view. A
 // blacked-out cluster ages into stale after its freshness window, so
 // its replicas stop counting toward replication factors instead of
@@ -9,65 +8,29 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "ndn/app_face.hpp"
 #include "ndn/forwarder.hpp"
 #include "replica/catalog.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/snapshot.hpp"
 
 namespace lidc::replica {
 
-struct ReplicaDirectoryOptions {
-  /// Lifetime of scrape Interests.
-  sim::Duration interestLifetime = sim::Duration::millis(1000);
-  /// A cluster whose last successful scrape is older than this is stale.
-  sim::Duration freshnessWindow = sim::Duration::seconds(5);
-  /// Period of start()ed background scraping.
-  sim::Duration scrapeInterval = sim::Duration::seconds(2);
-};
-
-struct DirectoryCounters {
-  std::uint64_t scrapesStarted = 0;
-  std::uint64_t scrapesSucceeded = 0;
-  std::uint64_t scrapesFailed = 0;
-  std::uint64_t manifestReuses = 0;
-  std::uint64_t snapshotsFetched = 0;
-  std::uint64_t signatureFailures = 0;
-};
-
-class ReplicaDirectory {
+class ReplicaDirectory : public telemetry::SnapshotScraper {
  public:
   /// One cluster's latest scraped replica map.
-  struct ClusterMap {
-    std::uint64_t seq = 0;
-    sim::Time lastUpdated;
-    bool everScraped = false;
+  struct ClusterMap : telemetry::SnapshotView {
     std::map<std::string, ReplicaEntry> entries;  // dataset URI -> entry
   };
 
-  explicit ReplicaDirectory(ndn::Forwarder& forwarder,
-                            ReplicaDirectoryOptions options = {});
+  explicit ReplicaDirectory(ndn::Forwarder& forwarder);
 
   void watchCluster(const std::string& cluster);
-  [[nodiscard]] std::vector<std::string> watchedClusters() const;
-
-  /// Scrapes every watched cluster once; `done` fires after each has
-  /// succeeded or failed.
-  void scrapeOnce(std::function<void()> done = nullptr);
-
-  /// Periodic scraping on the sim clock; stop() is required before the
-  /// sim can drain.
-  void start();
-  void stop();
-  [[nodiscard]] bool running() const noexcept { return running_; }
 
   [[nodiscard]] const ClusterMap* view(const std::string& cluster) const;
-  [[nodiscard]] bool isStale(const std::string& cluster) const;
 
   /// Clusters currently holding a ready replica of the dataset, from
   /// non-stale views only, sorted by cluster name (deterministic).
@@ -82,29 +45,17 @@ class ReplicaDirectory {
   /// Union of all dataset URIs across non-stale views, sorted.
   [[nodiscard]] std::vector<std::string> knownDatasets() const;
 
-  [[nodiscard]] const DirectoryCounters& counters() const noexcept {
-    return counters_;
-  }
-
   /// Mirrors lidc_replica_directory_* counters into `registry`.
   void attachTelemetry(telemetry::MetricsRegistry& registry);
 
  private:
-  void scrapeCluster(const std::string& cluster, std::function<void()> done);
-  void fetchSnapshot(const std::string& cluster, std::uint64_t seq,
-                     std::function<void()> done);
-  void scrapeTick();
+  void applySnapshot(const std::string& cluster, std::string text) override;
+  /// The cluster's entry for `uri` when its view is fresh and the
+  /// replica ready, else null.
+  [[nodiscard]] const ReplicaEntry* readyEntry(const std::string& cluster,
+                                               const std::string& uri) const;
 
-  ndn::Forwarder& forwarder_;
-  sim::Simulator& sim_;
-  ReplicaDirectoryOptions options_;
-  std::shared_ptr<ndn::AppFace> face_;
-  ndn::FaceId face_id_ = ndn::kInvalidFaceId;
-  std::vector<std::string> watched_;
   std::map<std::string, ClusterMap> views_;
-  DirectoryCounters counters_;
-  bool running_ = false;
-  sim::EventHandle tick_;
 };
 
 /// Parses one catalog snapshot ("dataset=...;bytes=...;version=...;

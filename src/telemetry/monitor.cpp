@@ -2,296 +2,66 @@
 
 #include <algorithm>
 
-#include "common/logging.hpp"
-#include "common/strings.hpp"
-
 namespace lidc::telemetry {
 
 namespace {
 constexpr const char* kLatestComponent = "_latest";
+
+ndn::Name clusterPrefix(const std::string& cluster) {
+  ndn::Name prefix = kTelemetryPrefix;
+  prefix.append(cluster);
+  return prefix;
 }
+}  // namespace
 
 TelemetryPublisher::TelemetryPublisher(ndn::Forwarder& forwarder,
                                        MetricsRegistry& registry,
-                                       std::string clusterName,
-                                       TelemetryPublisherOptions options)
-    : forwarder_(forwarder),
+                                       std::string clusterName)
+    : SnapshotPublisher(forwarder, clusterPrefix(clusterName),
+                        "app://telemetry/" + clusterName, kLatestComponent,
+                        sim::Duration::seconds(1)),
       registry_(registry),
-      cluster_name_(std::move(clusterName)),
-      options_(options) {
-  groups_["all"] = Group{};
-  ndn::Name prefix = kTelemetryPrefix;
-  prefix.append(cluster_name_);
-  face_ = std::make_shared<ndn::AppFace>("app://telemetry/" + cluster_name_,
-                                         forwarder_.simulator());
-  face_->setInterestHandler([this](const ndn::Interest& i) { handleInterest(i); });
-  face_id_ = forwarder_.addFace(face_);
-  forwarder_.registerPrefix(prefix, face_id_, /*cost=*/0);
+      cluster_name_(std::move(clusterName)) {
+  addGroup("all", "");
 }
 
 void TelemetryPublisher::addGroup(const std::string& group,
                                   const std::string& metricPrefix) {
-  groups_[group].metricPrefix = metricPrefix;
+  addStream(group, [this, metricPrefix] {
+    return registry_.toPrometheus(metricPrefix);
+  });
 }
 
 void TelemetryPublisher::addContentGroup(const std::string& group,
                                          std::function<std::string()> content,
                                          std::function<std::uint64_t()> revision) {
-  Group& g = groups_[group];
-  g.content = std::move(content);
-  g.revision = std::move(revision);
-}
-
-void TelemetryPublisher::handleInterest(const ndn::Interest& interest) {
-  // /ndn/k8s/telemetry/<cluster>/<group>/<_latest | seq>
-  const ndn::Name& name = interest.name();
-  if (name.size() != kTelemetryPrefix.size() + 3) {
-    ++rejected_;
-    face_->putNack(interest, ndn::NackReason::kNoRoute);
-    return;
-  }
-  const std::string group = name[name.size() - 2].toString();
-  const std::string selector = name[name.size() - 1].toString();
-  auto it = groups_.find(group);
-  if (it == groups_.end()) {
-    ++rejected_;
-    face_->putNack(interest, ndn::NackReason::kNoRoute);
-    return;
-  }
-  if (selector == kLatestComponent) {
-    replyLatest(interest, it->second);
-    return;
-  }
-  const auto seq = strings::parseUint(selector);
-  if (!seq) {
-    ++rejected_;
-    face_->putNack(interest, ndn::NackReason::kNoRoute);
-    return;
-  }
-  replySnapshot(interest, it->second, *seq);
-}
-
-void TelemetryPublisher::refreshGroup(Group& group) {
-  const sim::Time now = forwarder_.simulator().now();
-  if (group.seq != 0 && now - group.generatedAt < options_.snapshotInterval) {
-    return;
-  }
-  if (group.content) {
-    // Content group: a new sequence only when the provider's revision
-    // moved, so collectors keep reusing the manifest while quiet.
-    const std::uint64_t revision = group.revision ? group.revision() : 0;
-    if (group.seq != 0 && revision == group.lastRevision) {
-      group.generatedAt = now;
-      return;
-    }
-    group.lastRevision = revision;
-    ++group.seq;
-    group.generatedAt = now;
-    group.snapshots[group.seq] = group.content();
-  } else {
-    ++group.seq;
-    group.generatedAt = now;
-    group.snapshots[group.seq] = registry_.toPrometheus(group.metricPrefix);
-  }
-  ++snapshots_generated_;
-  while (group.snapshots.size() > options_.retainedSnapshots) {
-    group.snapshots.erase(group.snapshots.begin());
-  }
-}
-
-void TelemetryPublisher::replyLatest(const ndn::Interest& interest, Group& group) {
-  refreshGroup(group);
-  ++served_;
-  ndn::Data manifest(interest.name());
-  manifest
-      .setContent("seq=" + std::to_string(group.seq) + ";generated=" +
-                  std::to_string(group.generatedAt.toNanos()))
-      .setFreshnessPeriod(options_.manifestFreshness)
-      .sign();
-  face_->putData(std::move(manifest));
-}
-
-void TelemetryPublisher::replySnapshot(const ndn::Interest& interest, Group& group,
-                                       std::uint64_t seq) {
-  auto it = group.snapshots.find(seq);
-  if (it == group.snapshots.end()) {
-    ++rejected_;
-    face_->putNack(interest, ndn::NackReason::kNoRoute);
-    return;
-  }
-  ++served_;
-  ndn::Data snapshot(interest.name());
-  snapshot.setContent(it->second)
-      .setFreshnessPeriod(options_.snapshotFreshness)
-      .sign();
-  face_->putData(std::move(snapshot));
+  addStream(group, std::move(content), std::move(revision));
 }
 
 TelemetryCollector::TelemetryCollector(ndn::Forwarder& forwarder,
                                        TelemetryCollectorOptions options)
-    : forwarder_(forwarder), sim_(forwarder.simulator()), options_(options) {
-  face_ = std::make_shared<ndn::AppFace>("app://telemetry-collector", sim_,
-                                         /*nonceSeed=*/0x7e1e);
-  face_id_ = forwarder_.addFace(face_);
-}
+    : SnapshotScraper(forwarder, "app://telemetry-collector",
+                      /*nonceSeed=*/0x7e1e, kTelemetryPrefix, options.group,
+                      kLatestComponent, options),
+      sim_(forwarder.simulator()),
+      options_(std::move(options)) {}
 
 void TelemetryCollector::watchCluster(const std::string& cluster) {
-  if (std::find(watched_.begin(), watched_.end(), cluster) == watched_.end()) {
-    watched_.push_back(cluster);
-    views_[cluster];
-  }
+  watch(cluster, views_[cluster]);
 }
 
-std::vector<std::string> TelemetryCollector::watchedClusters() const {
-  return watched_;
-}
-
-ndn::Name TelemetryCollector::groupPrefix(const std::string& cluster) const {
-  ndn::Name name = kTelemetryPrefix;
-  name.append(cluster);
-  name.append(options_.group);
-  return name;
-}
-
-void TelemetryCollector::scrapeOnce(std::function<void()> done) {
-  if (watched_.empty()) {
-    if (done) done();
-    return;
-  }
-  // Track completion across the fan-out; `done` fires after every
-  // watched cluster has either succeeded or failed.
-  auto remaining = std::make_shared<std::size_t>(watched_.size());
-  auto onClusterDone = [remaining, done = std::move(done)]() {
-    if (--*remaining == 0 && done) done();
-  };
-  for (const auto& cluster : watched_) {
-    ++counters_.scrapesStarted;
-    scrapeCluster(cluster, onClusterDone);
-  }
-}
-
-void TelemetryCollector::scrapeCluster(const std::string& cluster,
-                                       std::function<void()> done) {
-  // Every terminal path reports the (possibly degraded) health score,
-  // so a blackout is announced as soon as the scrape fails — the
-  // steering loop must not wait for a hard job failure.
-  auto finish = [this, cluster, done = std::move(done)] {
-    notifyHealth(cluster);
-    if (done) done();
-  };
-  ndn::Name latest = groupPrefix(cluster);
-  latest.append(kLatestComponent);
-  ndn::Interest interest(latest);
-  interest.setMustBeFresh(true).setLifetime(options_.interestLifetime);
-  face_->expressInterest(
-      std::move(interest),
-      [this, cluster, done = finish](const ndn::Interest&, const ndn::Data& data) {
-        if (!data.verify()) {
-          ++counters_.signatureFailures;
-          ++counters_.scrapesFailed;
-          done();
-          return;
-        }
-        std::uint64_t seq = 0;
-        // Keep the content alive: splitSkipEmpty yields views into it.
-        const std::string content = data.contentAsString();
-        for (auto field : strings::splitSkipEmpty(content, ';')) {
-          if (strings::startsWith(field, "seq=")) {
-            if (auto parsed = strings::parseUint(field.substr(4))) seq = *parsed;
-          }
-        }
-        if (seq == 0) {
-          ++counters_.scrapesFailed;
-          done();
-          return;
-        }
-        ClusterView& view = views_[cluster];
-        if (view.everScraped && view.seq == seq) {
-          // Manifest says nothing changed; the previous values stand.
-          ++counters_.manifestReuses;
-          ++counters_.scrapesSucceeded;
-          view.lastUpdated = sim_.now();
-          done();
-          return;
-        }
-        fetchSnapshot(cluster, seq, std::move(done));
-      },
-      [this, done = finish](const ndn::Interest&, const ndn::Nack&) {
-        ++counters_.scrapesFailed;
-        done();
-      },
-      [this, done = finish](const ndn::Interest&) {
-        ++counters_.scrapesFailed;
-        done();
-      });
-}
-
-void TelemetryCollector::fetchSnapshot(const std::string& cluster,
-                                       std::uint64_t seq,
-                                       std::function<void()> done) {
-  ndn::Name name = groupPrefix(cluster);
-  name.appendNumber(seq);
-  // Immutable versioned Data: no MustBeFresh, so any Content Store on
-  // the path may answer.
-  ndn::Interest interest(name);
-  interest.setLifetime(options_.interestLifetime);
-  face_->expressInterest(
-      std::move(interest),
-      [this, cluster, seq, done](const ndn::Interest&, const ndn::Data& data) {
-        if (!data.verify()) {
-          ++counters_.signatureFailures;
-          ++counters_.scrapesFailed;
-          done();
-          return;
-        }
-        ClusterView& view = views_[cluster];
-        view.seq = seq;
-        view.prevValues = std::move(view.values);
-        view.rawText = data.contentAsString();
-        view.values = parsePrometheusText(view.rawText);
-        view.lastUpdated = sim_.now();
-        view.everScraped = true;
-        ++counters_.snapshotsFetched;
-        ++counters_.scrapesSucceeded;
-        done();
-      },
-      [this, done](const ndn::Interest&, const ndn::Nack&) {
-        ++counters_.scrapesFailed;
-        done();
-      },
-      [this, done](const ndn::Interest&) {
-        ++counters_.scrapesFailed;
-        done();
-      });
-}
-
-void TelemetryCollector::start() {
-  if (running_) return;
-  running_ = true;
-  scrapeTick();
-}
-
-void TelemetryCollector::stop() {
-  running_ = false;
-  tick_.cancel();
-}
-
-void TelemetryCollector::scrapeTick() {
-  if (!running_) return;
-  scrapeOnce();
-  tick_ = sim_.scheduleAfter(options_.scrapeInterval, [this] { scrapeTick(); });
+void TelemetryCollector::applySnapshot(const std::string& cluster,
+                                       std::string text) {
+  ClusterView& view = views_.at(cluster);
+  view.prevValues = std::move(view.values);
+  view.rawText = std::move(text);
+  view.values = parsePrometheusText(view.rawText);
 }
 
 const TelemetryCollector::ClusterView* TelemetryCollector::view(
     const std::string& cluster) const {
   auto it = views_.find(cluster);
   return it == views_.end() ? nullptr : &it->second;
-}
-
-bool TelemetryCollector::isStale(const std::string& cluster) const {
-  const ClusterView* v = view(cluster);
-  if (!v || !v->everScraped) return true;
-  return sim_.now() - v->lastUpdated > options_.freshnessWindow;
 }
 
 double TelemetryCollector::metric(const std::string& cluster,
@@ -372,7 +142,7 @@ double TelemetryCollector::healthScore(const std::string& cluster) const {
   return raw;
 }
 
-void TelemetryCollector::notifyHealth(const std::string& cluster) {
+void TelemetryCollector::scrapeSettled(const std::string& cluster) {
   const HealthPolicy& policy = options_.health;
   const double raw = rawHealthScore(cluster);
   if (raw < policy.degradedThreshold) {
@@ -387,18 +157,19 @@ void TelemetryCollector::notifyHealth(const std::string& cluster) {
 
 void TelemetryCollector::attachTelemetry(MetricsRegistry& registry) {
   registry.registerCollector([this, &registry] {
+    const ScrapeCounters& counters = this->counters();
     registry.counter("lidc_collector_scrapes_started_total")
-        .set(counters_.scrapesStarted);
+        .set(counters.scrapesStarted);
     registry.counter("lidc_collector_scrape_failures_total")
-        .set(counters_.scrapesFailed);
+        .set(counters.scrapesFailed);
     registry.counter("lidc_collector_snapshots_fetched_total")
-        .set(counters_.snapshotsFetched);
+        .set(counters.snapshotsFetched);
     registry.counter("lidc_collector_manifest_reuses_total")
-        .set(counters_.manifestReuses);
+        .set(counters.manifestReuses);
     registry.counter("lidc_collector_signature_failures_total")
-        .set(counters_.signatureFailures);
+        .set(counters.signatureFailures);
     double stale = 0.0;
-    for (const auto& cluster : watched_) {
+    for (const auto& cluster : watchedClusters()) {
       if (isStale(cluster)) stale += 1.0;
       registry.gauge("lidc_collector_cluster_health", {{"cluster", cluster}})
           .set(healthScore(cluster));

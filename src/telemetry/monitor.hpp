@@ -1,64 +1,39 @@
 // The named monitoring plane (paper SIV pattern, applied to telemetry;
 // cf. OSDF's monitoring-as-a-service): each cluster's gateway node runs
-// a TelemetryPublisher that serves signed metric snapshots under
+// a TelemetryPublisher that serves signed metric snapshots through the
+// named-snapshot protocol (snapshot.hpp):
 //
 //   /ndn/k8s/telemetry/<cluster>/<group>/_latest   -> "seq=N;generated=<ns>"
 //   /ndn/k8s/telemetry/<cluster>/<group>/<seq>     -> Prometheus text
 //
-// The `_latest` manifest is short-freshness Data (a MustBeFresh Interest
-// always reaches a live publisher once the cached copy ages out); the
-// per-seq snapshot is immutable, long-freshness Data, so repeat scrapes
-// by other collectors are served straight from Content Stores along the
-// path — monitoring inherits NDN's caching and location independence.
-//
-// Snapshots are generated on demand: when a `_latest` Interest arrives
-// and the newest snapshot is older than snapshotInterval, the publisher
-// re-exports the registry and bumps the sequence number. (No periodic
-// timer — idle simulations still drain.)
-//
-// The TelemetryCollector is the consumer side: it scrapes any number of
-// clusters through ordinary Interests and exposes per-cluster views
-// with a staleness flag, so a blacked-out cluster shows up as stale
-// after its freshness window instead of wedging the collector.
+// Registry groups cut a new seq at most once per second, content groups
+// only when their revision moved. A TelemetryCollector scrapes any
+// number of clusters and scores their health.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "ndn/app_face.hpp"
 #include "ndn/forwarder.hpp"
 #include "telemetry/alerts.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/snapshot.hpp"
 
 namespace lidc::telemetry {
 
 /// Root of the monitoring namespace.
 inline const ndn::Name kTelemetryPrefix{"/ndn/k8s/telemetry"};
 
-struct TelemetryPublisherOptions {
-  /// Minimum age before a `_latest` Interest triggers a fresh export.
-  sim::Duration snapshotInterval = sim::Duration::seconds(1);
-  /// Freshness on the `_latest` manifest (collectors send MustBeFresh).
-  sim::Duration manifestFreshness = sim::Duration::millis(500);
-  /// Freshness on immutable per-seq snapshots (CS-cacheable).
-  sim::Duration snapshotFreshness = sim::Duration::hours(1);
-  /// How many historical snapshots stay answerable.
-  std::size_t retainedSnapshots = 8;
-};
-
-class TelemetryPublisher {
+class TelemetryPublisher : public SnapshotPublisher {
  public:
   /// Attaches to `forwarder` (the cluster's gateway NFD), registering
   /// /ndn/k8s/telemetry/<cluster> toward a new AppFace. The default
   /// "all" group exports the whole registry; addGroup() narrows by
   /// metric-name prefix (e.g. "forwarder" -> "lidc_forwarder").
   TelemetryPublisher(ndn::Forwarder& forwarder, MetricsRegistry& registry,
-                     std::string clusterName,
-                     TelemetryPublisherOptions options = {});
+                     std::string clusterName);
 
   void addGroup(const std::string& group, const std::string& metricPrefix);
 
@@ -74,43 +49,10 @@ class TelemetryPublisher {
   [[nodiscard]] const std::string& clusterName() const noexcept {
     return cluster_name_;
   }
-  [[nodiscard]] std::uint64_t snapshotsGenerated() const noexcept {
-    return snapshots_generated_;
-  }
-  [[nodiscard]] std::uint64_t interestsServed() const noexcept { return served_; }
-  [[nodiscard]] std::uint64_t interestsRejected() const noexcept {
-    return rejected_;
-  }
 
  private:
-  struct Group {
-    std::string metricPrefix;
-    /// Non-null for content groups (addContentGroup).
-    std::function<std::string()> content;
-    std::function<std::uint64_t()> revision;
-    std::uint64_t lastRevision = 0;
-    std::uint64_t seq = 0;  // 0 = nothing exported yet
-    sim::Time generatedAt;
-    std::map<std::uint64_t, std::string> snapshots;  // seq -> Prometheus text
-  };
-
-  void handleInterest(const ndn::Interest& interest);
-  void replyLatest(const ndn::Interest& interest, Group& group);
-  void replySnapshot(const ndn::Interest& interest, Group& group,
-                     std::uint64_t seq);
-  /// Exports the registry into a new sequence if the newest is stale.
-  void refreshGroup(Group& group);
-
-  ndn::Forwarder& forwarder_;
   MetricsRegistry& registry_;
   std::string cluster_name_;
-  TelemetryPublisherOptions options_;
-  std::shared_ptr<ndn::AppFace> face_;
-  ndn::FaceId face_id_ = ndn::kInvalidFaceId;
-  std::map<std::string, Group> groups_;
-  std::uint64_t snapshots_generated_ = 0;
-  std::uint64_t served_ = 0;
-  std::uint64_t rejected_ = 0;
 };
 
 struct HealthPolicy {
@@ -132,36 +74,17 @@ struct HealthPolicy {
   sim::Duration holdDown = sim::Duration::seconds(10);
 };
 
-struct TelemetryCollectorOptions {
+struct TelemetryCollectorOptions : ScrapeTiming {
   /// Metric group to scrape.
   std::string group = "all";
-  /// Lifetime of scrape Interests (bounds how long a dead cluster can
-  /// keep a scrape outstanding).
-  sim::Duration interestLifetime = sim::Duration::millis(1000);
-  /// A cluster whose last successful scrape is older than this is stale.
-  sim::Duration freshnessWindow = sim::Duration::seconds(5);
-  /// Period of start()ed background scraping.
-  sim::Duration scrapeInterval = sim::Duration::seconds(2);
   /// How scraped series aggregate into healthScore().
   HealthPolicy health;
 };
 
-struct CollectorCounters {
-  std::uint64_t scrapesStarted = 0;    // per (cluster, scrapeOnce) pair
-  std::uint64_t scrapesSucceeded = 0;
-  std::uint64_t scrapesFailed = 0;     // nack / timeout / bad payload
-  std::uint64_t manifestReuses = 0;    // seq unchanged, snapshot fetch skipped
-  std::uint64_t snapshotsFetched = 0;
-  std::uint64_t signatureFailures = 0;
-};
-
-class TelemetryCollector {
+class TelemetryCollector : public SnapshotScraper {
  public:
   /// One cluster's latest scraped state.
-  struct ClusterView {
-    std::uint64_t seq = 0;
-    sim::Time lastUpdated;
-    bool everScraped = false;
+  struct ClusterView : SnapshotView {
     std::map<std::string, double> values;  // Prometheus series -> value
     /// Previous snapshot's values — rejection pressure is scored on
     /// the delta between consecutive snapshots, not lifetime totals.
@@ -183,29 +106,11 @@ class TelemetryCollector {
                      TelemetryCollectorOptions options = {});
 
   void watchCluster(const std::string& cluster);
-  [[nodiscard]] std::vector<std::string> watchedClusters() const;
-
-  /// Scrapes every watched cluster once; `done` fires after each cluster
-  /// has succeeded or failed. Overlapping calls are independent.
-  void scrapeOnce(std::function<void()> done = nullptr);
-
-  /// Periodic scraping on the sim clock. stop() cancels the timer (and
-  /// is required before the sim can drain).
-  void start();
-  void stop();
-  [[nodiscard]] bool running() const noexcept { return running_; }
 
   [[nodiscard]] const ClusterView* view(const std::string& cluster) const;
-  /// True when the cluster has never been scraped successfully or its
-  /// last success is older than the freshness window.
-  [[nodiscard]] bool isStale(const std::string& cluster) const;
   /// Convenience: series value from the cluster's view (0 if absent).
   [[nodiscard]] double metric(const std::string& cluster,
                               const std::string& series) const;
-
-  [[nodiscard]] const CollectorCounters& counters() const noexcept {
-    return counters_;
-  }
 
   /// Aggregated cluster health in [0, 1]: staleScore when stale or
   /// never scraped; otherwise the gateway's healthy-node fraction
@@ -227,26 +132,18 @@ class TelemetryCollector {
   void invalidate(const std::string& cluster);
 
  private:
-  void scrapeCluster(const std::string& cluster, std::function<void()> done);
-  void fetchSnapshot(const std::string& cluster, std::uint64_t seq,
-                     std::function<void()> done);
-  void scrapeTick();
-  void notifyHealth(const std::string& cluster);
+  void applySnapshot(const std::string& cluster, std::string text) override;
+  /// Reports the (possibly degraded) health score after every scrape,
+  /// so a blackout is announced as soon as the scrape fails — the
+  /// steering loop must not wait for a hard job failure.
+  void scrapeSettled(const std::string& cluster) override;
   /// healthScore() without the hold-down memory.
   [[nodiscard]] double rawHealthScore(const std::string& cluster) const;
-  [[nodiscard]] ndn::Name groupPrefix(const std::string& cluster) const;
 
-  ndn::Forwarder& forwarder_;
   sim::Simulator& sim_;
   TelemetryCollectorOptions options_;
-  std::shared_ptr<ndn::AppFace> face_;
-  ndn::FaceId face_id_ = ndn::kInvalidFaceId;
-  std::vector<std::string> watched_;
   std::map<std::string, ClusterView> views_;
-  CollectorCounters counters_;
   HealthListener health_listener_;
-  bool running_ = false;
-  sim::EventHandle tick_;
 };
 
 /// Adapter: an AlertEngine value source over a collector's scraped

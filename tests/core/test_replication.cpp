@@ -1,11 +1,17 @@
 // Data replication: a freshly joined cluster stages datasets over NDN
-// from whichever lake holds them, then serves compute on them locally.
-#include "core/replication.hpp"
-
+// from whichever lake holds them through the replica plane's
+// TransferScheduler, then serves compute on them locally.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "core/client.hpp"
 #include "core/overlay.hpp"
+#include "replica/scheduler.hpp"
 
 namespace lidc::core {
 namespace {
@@ -30,6 +36,17 @@ class ReplicationTest : public ::testing::Test {
 
     client_ = std::make_unique<LidcClient>(
         *overlay_->topology().node("client-host"), "user");
+    staging_ = std::make_unique<replica::TransferScheduler>(
+        fresh_->forwarder(), fresh_->store(), fresh_->name());
+  }
+
+  /// Stages `dataset` into the fresh lake; the returned slot holds the
+  /// terminal status once the sim has run.
+  std::shared_ptr<std::optional<Status>> stage(const ndn::Name& dataset) {
+    auto done = std::make_shared<std::optional<Status>>();
+    staging_->enqueue(dataset, {},
+                      [done](Status s, std::uint64_t) { *done = s; });
+    return done;
   }
 
   ComputeCluster& addCluster(const std::string& name, int linkMs) {
@@ -48,150 +65,83 @@ class ReplicationTest : public ::testing::Test {
   ComputeCluster* seeded_ = nullptr;
   ComputeCluster* fresh_ = nullptr;
   std::unique_ptr<LidcClient> client_;
+  std::unique_ptr<replica::TransferScheduler> staging_;
 };
 
 TEST_F(ReplicationTest, ReplicatesObjectOverNdn) {
-  DataReplicator replicator(*fresh_);
   const ndn::Name object("/ndn/k8s/data/human-ref");
   ASSERT_FALSE(fresh_->store().contains(object));
 
-  std::optional<Status> done;
-  replicator.replicate(object, [&](Status s) { done = s; });
+  const auto done = stage(object);
   sim_.run();
-  ASSERT_TRUE(done.has_value());
-  EXPECT_TRUE(done->ok()) << *done;
+  ASSERT_TRUE(done->has_value());
+  EXPECT_TRUE((*done)->ok()) << **done;
   EXPECT_TRUE(fresh_->store().contains(object));
   // Byte-identical copies.
   EXPECT_EQ(*fresh_->store().get(object), *seeded_->store().get(object));
-  EXPECT_EQ(replicator.objectsReplicated(), 1u);
-  EXPECT_GT(replicator.bytesReplicated(), 0u);
+  EXPECT_EQ(staging_->staged(), 1u);
+  EXPECT_GT(staging_->bytesMoved(), 0u);
 }
 
 TEST_F(ReplicationTest, AlreadyPresentIsNoop) {
-  DataReplicator replicator(*fresh_);
   ASSERT_TRUE(fresh_->store().putText(ndn::Name("/ndn/k8s/data/x"), "v").ok());
-  std::optional<Status> done;
-  replicator.replicate(ndn::Name("/ndn/k8s/data/x"), [&](Status s) { done = s; });
+  const auto done = stage(ndn::Name("/ndn/k8s/data/x"));
   sim_.run();
-  ASSERT_TRUE(done.has_value());
-  EXPECT_TRUE(done->ok());
-  EXPECT_EQ(replicator.objectsReplicated(), 0u);
+  ASSERT_TRUE(done->has_value());
+  EXPECT_TRUE((*done)->ok());
+  EXPECT_EQ(staging_->staged(), 0u);
+  EXPECT_EQ(staging_->localHits(), 1u);
 }
 
 TEST_F(ReplicationTest, MissingObjectReportsError) {
-  DataReplicator replicator(*fresh_);
-  std::optional<Status> done;
-  replicator.replicate(ndn::Name("/ndn/k8s/data/ghost"),
-                       [&](Status s) { done = s; });
+  const auto done = stage(ndn::Name("/ndn/k8s/data/ghost"));
   sim_.run();
-  ASSERT_TRUE(done.has_value());
-  EXPECT_FALSE(done->ok());
+  ASSERT_TRUE(done->has_value());
+  EXPECT_FALSE((*done)->ok());
 }
 
 TEST_F(ReplicationTest, BatchReplicationReportsOnce) {
-  DataReplicator replicator(*fresh_);
-  std::vector<ndn::Name> objects{
+  const std::vector<ndn::Name> objects{
       ndn::Name("/ndn/k8s/data/human-ref"),
       ndn::Name("/ndn/k8s/data/SRR2931415"),
       ndn::Name("/ndn/k8s/data/SRR5139395"),
   };
-  int callbacks = 0;
-  Status final;
-  replicator.replicateAll(objects, [&](Status s) {
-    ++callbacks;
-    final = s;
-  });
+  std::map<std::string, int> callbacks;
+  for (const auto& object : objects) {
+    staging_->enqueue(object, {}, [&callbacks, object](Status s, std::uint64_t) {
+      EXPECT_TRUE(s.ok()) << s;
+      ++callbacks[object.toUri()];
+    });
+  }
   sim_.run();
-  EXPECT_EQ(callbacks, 1);
-  EXPECT_TRUE(final.ok()) << final;
-  EXPECT_EQ(replicator.objectsReplicated(), 3u);
+  ASSERT_EQ(callbacks.size(), 3u);
+  for (const auto& [uri, count] : callbacks) EXPECT_EQ(count, 1) << uri;
+  EXPECT_EQ(staging_->staged(), 3u);
 }
 
-TEST_F(ReplicationTest, MixedBatchFirstErrorWinsAndRestStillReplicate) {
-  DataReplicator replicator(*fresh_);
-  // One doomed object in the middle: the batch must still stage the
-  // other two, and the single callback must carry the first error.
-  std::vector<ndn::Name> objects{
-      ndn::Name("/ndn/k8s/data/human-ref"),
-      ndn::Name("/ndn/k8s/data/ghost"),
-      ndn::Name("/ndn/k8s/data/SRR2931415"),
-  };
-  int callbacks = 0;
-  Status final = Status::Ok();
-  replicator.replicateAll(objects, [&](Status s) {
-    ++callbacks;
-    final = s;
-  });
+TEST_F(ReplicationTest, FailedObjectDoesNotAbortSiblings) {
+  // One doomed object in the middle: the other two must still stage.
+  const auto ref = stage(ndn::Name("/ndn/k8s/data/human-ref"));
+  const auto ghost = stage(ndn::Name("/ndn/k8s/data/ghost"));
+  const auto rice = stage(ndn::Name("/ndn/k8s/data/SRR2931415"));
   sim_.run();
-  EXPECT_EQ(callbacks, 1);
-  EXPECT_FALSE(final.ok());
-  // The failure did not abort the rest of the batch.
-  EXPECT_EQ(replicator.objectsReplicated(), 2u);
+  ASSERT_TRUE(ghost->has_value());
+  EXPECT_FALSE((*ghost)->ok());
+  ASSERT_TRUE(ref->has_value() && rice->has_value());
+  EXPECT_TRUE((*ref)->ok() && (*rice)->ok());
+  EXPECT_EQ(staging_->staged(), 2u);
+  EXPECT_EQ(staging_->failures(), 1u);
   EXPECT_TRUE(fresh_->store().contains(ndn::Name("/ndn/k8s/data/human-ref")));
   EXPECT_TRUE(fresh_->store().contains(ndn::Name("/ndn/k8s/data/SRR2931415")));
 }
 
-TEST_F(ReplicationTest, WrapperStaysInParityWithTransferScheduler) {
-  // DataReplicator is a thin wrapper over the replica plane's
-  // TransferScheduler; the legacy accessors and the scheduler's own
-  // accounting must agree exactly.
-  DataReplicator replicator(*fresh_);
-  ASSERT_TRUE(
-      fresh_->store().putText(ndn::Name("/ndn/k8s/data/local"), "here").ok());
-
-  std::optional<Status> done;
-  replicator.replicateAll({ndn::Name("/ndn/k8s/data/human-ref"),
-                           ndn::Name("/ndn/k8s/data/SRR2931415"),
-                           ndn::Name("/ndn/k8s/data/local")},
-                          [&](Status s) { done = s; });
-  sim_.run();
-  ASSERT_TRUE(done.has_value());
-  EXPECT_TRUE(done->ok()) << *done;
-
-  const replica::TransferScheduler& scheduler = replicator.scheduler();
-  EXPECT_EQ(replicator.objectsReplicated(), 2u);
-  EXPECT_EQ(replicator.objectsReplicated(), scheduler.staged());
-  EXPECT_EQ(replicator.bytesReplicated(), scheduler.bytesMoved());
-  EXPECT_GT(replicator.bytesReplicated(), 0u);
-  // The already-present object was a wrapper-level no-op, not a staging
-  // queue entry: the scheduler never saw it.
-  EXPECT_EQ(scheduler.localHits(), 0u);
-  EXPECT_EQ(scheduler.failures(), 0u);
-  // The staging queue's deterministic trace narrates both transfers.
-  EXPECT_NE(scheduler.eventLog().find("done /ndn/k8s/data/human-ref"),
-            std::string::npos);
-  EXPECT_NE(scheduler.eventLog().find("done /ndn/k8s/data/SRR2931415"),
-            std::string::npos);
-}
-
-TEST_F(ReplicationTest, TelemetryMirrorsLegacyCounters) {
-  DataReplicator replicator(*fresh_);
-  telemetry::MetricsRegistry registry;
-  replicator.attachTelemetry(registry);
-
-  replicator.replicateAll({ndn::Name("/ndn/k8s/data/human-ref"),
-                           ndn::Name("/ndn/k8s/data/SRR2931415")},
-                          [](Status s) { ASSERT_TRUE(s.ok()) << s; });
-  sim_.run();
-
-  // Parity: the registry view equals the legacy accessors, both after
-  // traffic and on a later idle snapshot.
-  const auto flat = registry.flatten("lidc_replicator");
-  ASSERT_EQ(flat.size(), 2u);
-  EXPECT_EQ(flat.at("lidc_replicator_objects_total{cluster=\"fresh\"}"),
-            static_cast<double>(replicator.objectsReplicated()));
-  EXPECT_EQ(flat.at("lidc_replicator_bytes_total{cluster=\"fresh\"}"),
-            static_cast<double>(replicator.bytesReplicated()));
-  EXPECT_EQ(replicator.objectsReplicated(), 2u);
-}
-
 TEST_F(ReplicationTest, FreshClusterRunsBlastAfterStaging) {
   // Stage the reference + rice sample into the fresh (nearest) cluster.
-  DataReplicator replicator(*fresh_);
-  replicator.replicateAll({ndn::Name("/ndn/k8s/data/human-ref"),
-                           ndn::Name("/ndn/k8s/data/SRR2931415")},
-                          [](Status s) { ASSERT_TRUE(s.ok()) << s; });
+  const auto ref = stage(ndn::Name("/ndn/k8s/data/human-ref"));
+  const auto rice = stage(ndn::Name("/ndn/k8s/data/SRR2931415"));
   sim_.run();
+  ASSERT_TRUE(ref->has_value() && rice->has_value());
+  ASSERT_TRUE((*ref)->ok() && (*rice)->ok());
 
   ComputeRequest request;
   request.app = "BLAST";

@@ -1,6 +1,10 @@
 // FileServer + Retriever over a real two-node topology: segmentation,
 // reassembly, caching of segments, loss recovery, and error paths.
 #include <gtest/gtest.h>
+#include <pthread.h>
+
+#include <functional>
+#include <optional>
 
 #include "datalake/file_server.hpp"
 #include "datalake/retriever.hpp"
@@ -150,6 +154,56 @@ TEST_F(FileTransferTest, SecondFetchHitsContentStore) {
   EXPECT_EQ(done, 2);
   // All of the second transfer came from the client node's CS.
   EXPECT_EQ(fileServer_->interestsServed(), servedAfterFirst);
+}
+
+/// Runs `fn` to completion on a thread whose stack is `stackBytes`.
+void runOnStack(std::size_t stackBytes, std::function<void()> fn) {
+  pthread_attr_t attr;
+  pthread_attr_init(&attr);
+  pthread_attr_setstacksize(&attr, stackBytes);
+  pthread_t thread;
+  auto trampoline = [](void* arg) -> void* {
+    (*static_cast<std::function<void()>*>(arg))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&thread, &attr, trampoline, &fn), 0);
+  pthread_join(thread, nullptr);
+  pthread_attr_destroy(&attr);
+}
+
+TEST_F(FileTransferTest, CachedSegmentsDoNotGrowTheStack) {
+  // Every segment of the second fetch is a Content Store hit on the
+  // client's forwarder, which delivers Data synchronously. A retriever
+  // that recursed once per delivered segment would overflow the 1 MiB
+  // stack the fetch runs on.
+  constexpr std::size_t kSegments = 4000;
+  wire(net::LinkParams{sim::Duration::millis(2)}, /*segmentSize=*/16);
+  const auto blob = makeBlob(kSegments * 16);
+  const ndn::Name name("/ndn/k8s/data/many");
+  ASSERT_TRUE(store_.put(name, blob).ok());
+  Retriever retriever(*clientApp_);
+  std::optional<Result<std::vector<std::uint8_t>>> warm;
+  retriever.fetch(name, [&](Result<std::vector<std::uint8_t>> r) {
+    warm = std::move(r);
+  });
+  sim_.run();
+  ASSERT_TRUE(warm.has_value() && warm->ok());
+  const auto servedAfterWarm = fileServer_->interestsServed();
+  const auto csHitsAfterWarm = client_.counters().nCsHits;
+
+  std::optional<Result<std::vector<std::uint8_t>>> cached;
+  runOnStack(1 << 20, [&] {
+    retriever.fetch(name, [&](Result<std::vector<std::uint8_t>> r) {
+      cached = std::move(r);
+    });
+    sim_.run();
+  });
+  ASSERT_TRUE(cached.has_value());
+  ASSERT_TRUE(cached->ok()) << cached->status();
+  EXPECT_EQ(**cached, blob);
+  // Meta and every segment came from the client node's CS.
+  EXPECT_EQ(client_.counters().nCsHits - csHitsAfterWarm, kSegments + 1);
+  EXPECT_EQ(fileServer_->interestsServed(), servedAfterWarm);
 }
 
 TEST_F(FileTransferTest, SegmentBeyondEndIsNacked) {
