@@ -10,12 +10,13 @@ void AppFace::expressInterest(Interest interest, DataCallback onData,
     interest.setNonce(static_cast<std::uint32_t>(nonce_rng_() & 0xFFFFFFFFu) | 1u);
   }
 
-  pending_.push_back(Pending{interest, std::move(onData), std::move(onNack),
+  const sim::Duration lifetime = interest.lifetime();
+  pending_.push_back(Pending{std::move(interest), std::move(onData), std::move(onNack),
                              std::move(onTimeout), sim::EventHandle{}});
   auto it = std::prev(pending_.end());
 
   // App-level timeout mirrors the Interest lifetime.
-  it->timeoutEvent = sim_.scheduleAfter(interest.lifetime(), [this, it] {
+  it->timeoutEvent = sim_.scheduleAfter(lifetime, [this, it] {
     Pending pending = std::move(*it);
     pending_.erase(it);
     if (pending.onTimeout) pending.onTimeout(pending.interest);
@@ -23,6 +24,11 @@ void AppFace::expressInterest(Interest interest, DataCallback onData,
 
   // Into the forwarder.
   receiveInterest(it->interest);
+}
+
+void AppFace::abandonPending() noexcept {
+  for (Pending& pending : pending_) pending.timeoutEvent.cancel();
+  pending_.clear();
 }
 
 void AppFace::putData(Data data) {

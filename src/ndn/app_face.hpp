@@ -41,6 +41,10 @@ class AppFace : public Face {
   /// Producer side: sends a Nack for an Interest this app cannot serve.
   void putNack(const Interest& interest, NackReason reason);
 
+  /// Drops every pending Interest without firing its callbacks, for an
+  /// owner going away while the face stays in the forwarder.
+  void abandonPending() noexcept;
+
   [[nodiscard]] std::size_t pendingInterestCount() const noexcept {
     return pending_.size();
   }

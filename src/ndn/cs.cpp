@@ -8,19 +8,6 @@ namespace {
 bool isPoisoned(const Data& data) { return data.hasSignature() && !data.verify(); }
 }  // namespace
 
-bool ContentStore::ByName::operator()(LruList::iterator a,
-                                      LruList::iterator b) const noexcept {
-  return a->data.name() < b->data.name();
-}
-bool ContentStore::ByName::operator()(LruList::iterator a,
-                                      const Name& b) const noexcept {
-  return a->data.name() < b;
-}
-bool ContentStore::ByName::operator()(const Name& a,
-                                      LruList::iterator b) const noexcept {
-  return a < b->data.name();
-}
-
 void ContentStore::insert(const Data& data, sim::Time now) {
   if (capacity_ == 0) return;
   if (verify_inserts_ && isPoisoned(data)) {
@@ -29,13 +16,12 @@ void ContentStore::insert(const Data& data, sim::Time now) {
   }
   auto it = index_.find(data.name());
   if (it != index_.end()) {
-    (*it)->data = data;
-    (*it)->arrival = now;
+    it->data = data;
+    it->arrival = now;
     touch(*it);
     return;
   }
-  lru_.push_front(Entry{data, now, {}});
-  lru_.front().indexed = index_.insert(lru_.begin()).first;
+  pushFront(*index_.emplace(data, now).first);
   evictIfNeeded();
 }
 
@@ -54,13 +40,13 @@ std::optional<Data> ContentStore::find(const Interest& interest, sim::Time now) 
 
   if (!interest.canBePrefix()) {
     auto it = index_.find(name);
-    if (it != index_.end() && isPoisoned((*it)->data)) {
+    if (it != index_.end() && isPoisoned(it->data)) {
       ++poisoned_evictions_;
       erase(it);
-    } else if (it != index_.end() && usable(**it)) {
+    } else if (it != index_.end() && usable(*it)) {
       touch(*it);
       ++hits_;
-      return (*it)->data;
+      return it->data;
     }
     ++misses_;
     return std::nullopt;
@@ -68,7 +54,7 @@ std::optional<Data> ContentStore::find(const Interest& interest, sim::Time now) 
 
   // CanBePrefix: scan names >= prefix until we leave the subtree.
   for (auto it = index_.lower_bound(name); it != index_.end();) {
-    const Entry& entry = **it;
+    const Entry& entry = *it;
     if (!name.isPrefixOf(entry.data.name())) break;
     if (isPoisoned(entry.data)) {
       ++poisoned_evictions_;
@@ -92,14 +78,14 @@ void ContentStore::erase(const Name& name) {
 }
 
 void ContentStore::erase(Index::iterator it) {
-  const LruList::iterator entry = *it;
+  unlinkLru(*it);
   index_.erase(it);
-  lru_.erase(entry);
 }
 
 void ContentStore::clear() {
   index_.clear();
-  lru_.clear();
+  lru_head_ = nullptr;
+  lru_tail_ = nullptr;
 }
 
 void ContentStore::setCapacity(std::size_t capacity) {
@@ -107,12 +93,38 @@ void ContentStore::setCapacity(std::size_t capacity) {
   evictIfNeeded();
 }
 
-void ContentStore::touch(LruList::iterator it) {
-  lru_.splice(lru_.begin(), lru_, it);
+void ContentStore::touch(const Entry& entry) {
+  if (&entry == lru_head_) return;
+  unlinkLru(entry);
+  pushFront(entry);
+}
+
+void ContentStore::pushFront(const Entry& entry) {
+  entry.newer = nullptr;
+  entry.older = lru_head_;
+  if (lru_head_ != nullptr) {
+    lru_head_->newer = &entry;
+  } else {
+    lru_tail_ = &entry;
+  }
+  lru_head_ = &entry;
+}
+
+void ContentStore::unlinkLru(const Entry& entry) {
+  if (entry.newer != nullptr) {
+    entry.newer->older = entry.older;
+  } else {
+    lru_head_ = entry.older;
+  }
+  if (entry.older != nullptr) {
+    entry.older->newer = entry.newer;
+  } else {
+    lru_tail_ = entry.newer;
+  }
 }
 
 void ContentStore::evictIfNeeded() {
-  while (lru_.size() > capacity_) erase(lru_.back().indexed);
+  while (index_.size() > capacity_) erase(index_.find(lru_tail_->data.name()));
 }
 
 bool ContentStore::isFreshEnough(const Entry& entry, const Interest& interest,

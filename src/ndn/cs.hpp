@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <optional>
 #include <set>
 
@@ -24,6 +23,9 @@ namespace lidc::ndn {
 class ContentStore {
  public:
   explicit ContentStore(std::size_t capacity = 4096) : capacity_(capacity) {}
+  // The LRU list points into the index's nodes.
+  ContentStore(const ContentStore&) = delete;
+  ContentStore& operator=(const ContentStore&) = delete;
 
   /// Inserts (or refreshes) a Data packet observed at time `now`.
   /// Poisoned packets (signed but failing verify()) are rejected and
@@ -64,26 +66,37 @@ class ContentStore {
   }
 
  private:
-  // Each entry stores its name once, inside its Data. Entries live in
-  // the LRU list (front = most recently used); the ordered index holds
-  // list iterators sorted by that name, which is what CanBePrefix
-  // lookups scan.
-  struct Entry;
-  using LruList = std::list<Entry>;
+  // Each entry is one node of the name-ordered index, which is what
+  // CanBePrefix lookups scan, and stores its name once, inside its Data.
+  // The LRU order is a doubly linked list threaded through those nodes,
+  // so an insert allocates one node.
+  struct Entry {
+    Entry(const Data& d, sim::Time t) : data(d), arrival(t) {}
+    // Mutable because the index orders by name alone: a refresh swaps in
+    // a Data of the same name, and the LRU links are not keys.
+    mutable Data data;
+    mutable sim::Time arrival;
+    mutable const Entry* newer = nullptr;
+    mutable const Entry* older = nullptr;
+  };
   struct ByName {
     using is_transparent = void;
-    bool operator()(LruList::iterator a, LruList::iterator b) const noexcept;
-    bool operator()(LruList::iterator a, const Name& b) const noexcept;
-    bool operator()(const Name& a, LruList::iterator b) const noexcept;
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
+      return a.data.name() < b.data.name();
+    }
+    bool operator()(const Entry& a, const Name& b) const noexcept {
+      return a.data.name() < b;
+    }
+    bool operator()(const Name& a, const Entry& b) const noexcept {
+      return a < b.data.name();
+    }
   };
-  using Index = std::set<LruList::iterator, ByName>;
-  struct Entry {
-    Data data;  // never renamed while indexed
-    sim::Time arrival;
-    Index::iterator indexed;
-  };
+  using Index = std::set<Entry, ByName>;
 
-  void touch(LruList::iterator it);
+  /// Makes `entry` the most recently used.
+  void touch(const Entry& entry);
+  void pushFront(const Entry& entry);
+  void unlinkLru(const Entry& entry);
   void erase(Index::iterator it);
   void evictIfNeeded();
 
@@ -91,8 +104,9 @@ class ContentStore {
                                    sim::Time now) const noexcept;
 
   std::size_t capacity_;
-  LruList lru_;
   Index index_;
+  const Entry* lru_head_ = nullptr;  // most recently used
+  const Entry* lru_tail_ = nullptr;  // next to evict
   bool verify_inserts_ = true;
   bool serve_stale_ = false;
   std::uint64_t hits_ = 0;

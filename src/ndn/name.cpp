@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <ostream>
 
 #include "common/strings.hpp"
@@ -29,7 +31,25 @@ int hexValue(char c) noexcept {
 
 }  // namespace
 
+void Component::assign(std::span<const std::uint8_t> value) {
+  if (value.size() <= kInlineCapacity) {
+    if (!value.empty()) std::memcpy(raw_, value.data(), value.size());
+    raw_[kTagByte] = static_cast<std::uint8_t>(value.size());
+    return;
+  }
+  if (value.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("name component longer than 4 GiB");
+  }
+  auto* heap = new std::uint8_t[value.size()];
+  std::memcpy(heap, value.data(), value.size());
+  const auto size = static_cast<std::uint32_t>(value.size());
+  std::memcpy(raw_, &heap, sizeof(heap));
+  std::memcpy(raw_ + sizeof(heap), &size, sizeof(size));
+  raw_[kTagByte] = kHeapTag;
+}
+
 std::optional<Component> Component::fromEscaped(std::string_view escaped) {
+  if (escaped.find('%') == std::string_view::npos) return Component(escaped);
   std::vector<std::uint8_t> bytes;
   bytes.reserve(escaped.size());
   for (std::size_t i = 0; i < escaped.size(); ++i) {
@@ -44,13 +64,13 @@ std::optional<Component> Component::fromEscaped(std::string_view escaped) {
       bytes.push_back(static_cast<std::uint8_t>(escaped[i]));
     }
   }
-  return Component(std::move(bytes));
+  return Component(bytes);
 }
 
 std::string Component::toEscapedString() const {
   std::string out;
-  out.reserve(value_.size());
-  for (std::uint8_t byte : value_) {
+  out.reserve(size());
+  for (std::uint8_t byte : value()) {
     if (isUriUnreserved(byte)) {
       out.push_back(static_cast<char>(byte));
     } else {
@@ -64,13 +84,11 @@ std::string Component::toEscapedString() const {
 
 std::strong_ordering Component::compare(const Component& other) const noexcept {
   // NDN canonical order: shorter components sort first.
-  if (value_.size() != other.value_.size()) {
-    return value_.size() < other.value_.size() ? std::strong_ordering::less
-                                               : std::strong_ordering::greater;
+  const std::size_t n = size();
+  if (n != other.size()) {
+    return n < other.size() ? std::strong_ordering::less : std::strong_ordering::greater;
   }
-  const int cmp = value_.empty()
-                      ? 0
-                      : std::memcmp(value_.data(), other.value_.data(), value_.size());
+  const int cmp = n == 0 ? 0 : std::memcmp(data(), other.data(), n);
   if (cmp < 0) return std::strong_ordering::less;
   if (cmp > 0) return std::strong_ordering::greater;
   return std::strong_ordering::equal;

@@ -8,33 +8,73 @@
 #include <algorithm>
 #include <compare>
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace lidc::ndn {
 
-/// One name component: an opaque byte string.
+/// One name component: an opaque byte string. Values of up to
+/// kInlineCapacity bytes (keywords, job ids, most semantic fields) live
+/// inside the object, so copying a Name of short components allocates
+/// only its component vector.
 class Component {
  public:
-  Component() = default;
-  explicit Component(std::vector<std::uint8_t> value) : value_(std::move(value)) {}
+  static constexpr std::size_t kInlineCapacity = 15;
+
+  Component() noexcept = default;
+  explicit Component(std::span<const std::uint8_t> value) { assign(value); }
   /// Builds from raw text (no unescaping).
   explicit Component(std::string_view text)
-      : value_(text.begin(), text.end()) {}
+      : Component(std::span<const std::uint8_t>(
+            reinterpret_cast<const std::uint8_t*>(text.data()), text.size())) {}
+
+  Component(const Component& other) { assign(other.value()); }
+  Component(Component&& other) noexcept {
+    std::memcpy(raw_, other.raw_, sizeof(raw_));
+    other.raw_[kTagByte] = 0;
+  }
+  Component& operator=(const Component& other) {
+    if (this != &other) *this = Component(other);
+    return *this;
+  }
+  Component& operator=(Component&& other) noexcept {
+    if (this != &other) {
+      release();
+      std::memcpy(raw_, other.raw_, sizeof(raw_));
+      other.raw_[kTagByte] = 0;
+    }
+    return *this;
+  }
+  ~Component() { release(); }
 
   /// Parses one percent-escaped URI component ("mem%3D4" -> "mem=4").
   static std::optional<Component> fromEscaped(std::string_view escaped);
 
-  [[nodiscard]] const std::vector<std::uint8_t>& value() const noexcept { return value_; }
-  [[nodiscard]] bool empty() const noexcept { return value_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return value_.size(); }
+  [[nodiscard]] std::span<const std::uint8_t> value() const noexcept {
+    return {data(), size()};
+  }
+  [[nodiscard]] const std::uint8_t* data() const noexcept {
+    if (isInline()) return raw_;
+    const std::uint8_t* heap = nullptr;
+    std::memcpy(&heap, raw_, sizeof(heap));
+    return heap;
+  }
+  [[nodiscard]] std::size_t size() const noexcept {
+    if (isInline()) return raw_[kTagByte];
+    std::uint32_t size = 0;
+    std::memcpy(&size, raw_ + sizeof(std::uint8_t*), sizeof(size));
+    return size;
+  }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
 
   /// Raw bytes as string (no escaping).
   [[nodiscard]] std::string toString() const {
-    return {value_.begin(), value_.end()};
+    return {reinterpret_cast<const char*>(data()), size()};
   }
   /// Percent-escaped URI form.
   [[nodiscard]] std::string toEscapedString() const;
@@ -43,7 +83,8 @@ class Component {
   [[nodiscard]] std::strong_ordering compare(const Component& other) const noexcept;
 
   friend bool operator==(const Component& a, const Component& b) noexcept {
-    return a.value_ == b.value_;
+    const std::size_t n = a.size();
+    return n == b.size() && (n == 0 || std::memcmp(a.data(), b.data(), n) == 0);
   }
   friend std::strong_ordering operator<=>(const Component& a,
                                           const Component& b) noexcept {
@@ -51,8 +92,21 @@ class Component {
   }
 
  private:
-  std::vector<std::uint8_t> value_;
+  // raw_ holds either the inline bytes with their length in the last
+  // byte, or {heap pointer, 32-bit size} with kHeapTag in the last byte.
+  static constexpr std::size_t kTagByte = kInlineCapacity;
+  static constexpr std::uint8_t kHeapTag = 0xFF;
+
+  [[nodiscard]] bool isInline() const noexcept { return raw_[kTagByte] != kHeapTag; }
+  void assign(std::span<const std::uint8_t> value);
+  void release() noexcept {
+    if (!isInline()) delete[] data();
+  }
+
+  alignas(std::uint8_t*) std::uint8_t raw_[kInlineCapacity + 1] = {};
 };
+
+static_assert(sizeof(Component) == 16);
 
 /// Hierarchical NDN name, e.g. /ndn/k8s/compute/mem=4&cpu=6&app=BLAST.
 class Name {

@@ -9,9 +9,7 @@ namespace {
 void encodeName(tlv::Encoder& encoder, const Name& name) {
   tlv::Encoder inner;
   for (const auto& component : name) {
-    inner.writeBlock(tlv::kGenericNameComponent,
-                     std::span<const std::uint8_t>(component.value().data(),
-                                                   component.value().size()));
+    inner.writeBlock(tlv::kGenericNameComponent, component.value());
   }
   encoder.writeNested(tlv::kName, inner);
 }
@@ -22,13 +20,40 @@ Result<Name> decodeName(std::span<const std::uint8_t> value) {
   while (!decoder.atEnd()) {
     auto element = decoder.readElement(tlv::kGenericNameComponent);
     if (!element) return element.status();
-    components.emplace_back(
-        std::vector<std::uint8_t>(element->value.begin(), element->value.end()));
+    components.emplace_back(element->value);
   }
   return Name(std::move(components));
 }
 
+std::size_t nameBlockSize(const Name& name) noexcept {
+  std::size_t inner = 0;
+  for (const auto& component : name) {
+    inner += tlv::blockSize(tlv::kGenericNameComponent, component.size());
+  }
+  return tlv::blockSize(tlv::kName, inner);
+}
+
+std::uint64_t toMillis(sim::Duration d) noexcept {
+  return static_cast<std::uint64_t>(std::max<std::int64_t>(0, d.toNanos() / 1'000'000));
+}
+
 }  // namespace
+
+std::size_t Interest::wireSize() const noexcept {
+  std::size_t inner = nameBlockSize(name_);
+  if (can_be_prefix_) inner += tlv::blockSize(tlv::kCanBePrefix, 0);
+  if (must_be_fresh_) inner += tlv::blockSize(tlv::kMustBeFresh, 0);
+  inner += tlv::nonNegativeIntegerBlockSize(tlv::kNonce, nonce_);
+  inner += tlv::nonNegativeIntegerBlockSize(tlv::kInterestLifetime, toMillis(lifetime_));
+  inner += tlv::nonNegativeIntegerBlockSize(tlv::kHopLimit, hop_limit_);
+  if (exclude_digest_) {
+    inner += tlv::nonNegativeIntegerBlockSize(tlv::kExcludeDigest, *exclude_digest_);
+  }
+  if (!app_parameters_.empty()) {
+    inner += tlv::blockSize(tlv::kApplicationParameters, app_parameters_.size());
+  }
+  return tlv::blockSize(tlv::kInterest, inner);
+}
 
 tlv::Buffer Interest::wireEncode() const {
   tlv::Encoder inner;
@@ -36,9 +61,7 @@ tlv::Buffer Interest::wireEncode() const {
   if (can_be_prefix_) inner.writeFlag(tlv::kCanBePrefix);
   if (must_be_fresh_) inner.writeFlag(tlv::kMustBeFresh);
   inner.writeNonNegativeInteger(tlv::kNonce, nonce_);
-  inner.writeNonNegativeInteger(
-      tlv::kInterestLifetime,
-      static_cast<std::uint64_t>(std::max<std::int64_t>(0, lifetime_.toNanos() / 1'000'000)));
+  inner.writeNonNegativeInteger(tlv::kInterestLifetime, toMillis(lifetime_));
   inner.writeNonNegativeInteger(tlv::kHopLimit, hop_limit_);
   if (exclude_digest_) {
     inner.writeNonNegativeInteger(tlv::kExcludeDigest, *exclude_digest_);
@@ -136,11 +159,29 @@ std::uint64_t Data::computeDigest() const {
 
 Data& Data::sign() {
   signature_ = contentDigest();
-  wire_size_cache_ = 0;  // the SignatureValue block changes the encoding
+  has_signature_ = true;
   return *this;
 }
 
-bool Data::verify() const { return signature_ && *signature_ == contentDigest(); }
+bool Data::verify() const { return has_signature_ && signature_ == contentDigest(); }
+
+std::size_t Data::wireSize() const noexcept {
+  std::size_t inner = nameBlockSize(name_);
+  inner += tlv::blockSize(
+      tlv::kMetaInfo,
+      tlv::nonNegativeIntegerBlockSize(tlv::kContentType,
+                                       static_cast<std::uint64_t>(content_type_)) +
+          tlv::nonNegativeIntegerBlockSize(tlv::kFreshnessPeriod, toMillis(freshness_)));
+  inner += tlv::blockSize(tlv::kContent, content_.size());
+  inner += tlv::blockSize(tlv::kSignatureInfo,
+                          tlv::nonNegativeIntegerBlockSize(tlv::kSignatureType, 0));
+  if (has_signature_) {
+    inner += tlv::blockSize(
+        tlv::kSignatureValue,
+        tlv::nonNegativeIntegerBlockSize(tlv::kSignatureValue, signature_));
+  }
+  return tlv::blockSize(tlv::kData, inner);
+}
 
 tlv::Buffer Data::wireEncode() const {
   tlv::Encoder inner;
@@ -149,9 +190,7 @@ tlv::Buffer Data::wireEncode() const {
   tlv::Encoder meta;
   meta.writeNonNegativeInteger(tlv::kContentType,
                                static_cast<std::uint64_t>(content_type_));
-  meta.writeNonNegativeInteger(
-      tlv::kFreshnessPeriod,
-      static_cast<std::uint64_t>(std::max<std::int64_t>(0, freshness_.toNanos() / 1'000'000)));
+  meta.writeNonNegativeInteger(tlv::kFreshnessPeriod, toMillis(freshness_));
   inner.writeNested(tlv::kMetaInfo, meta);
 
   inner.writeBlock(tlv::kContent,
@@ -160,9 +199,9 @@ tlv::Buffer Data::wireEncode() const {
   tlv::Encoder sigInfo;
   sigInfo.writeNonNegativeInteger(tlv::kSignatureType, 0);  // DigestSha256 stand-in
   inner.writeNested(tlv::kSignatureInfo, sigInfo);
-  if (signature_) {
+  if (has_signature_) {
     tlv::Encoder sigValue;
-    sigValue.writeNonNegativeInteger(tlv::kSignatureValue, *signature_);
+    sigValue.writeNonNegativeInteger(tlv::kSignatureValue, signature_);
     inner.writeNested(tlv::kSignatureValue, sigValue);
   }
 
@@ -217,6 +256,7 @@ Result<Data> Data::wireDecode(std::span<const std::uint8_t> wire) {
         auto v = tlv::Decoder::readNonNegativeInteger(field->value);
         if (!v) return v.status();
         data.signature_ = *v;
+        data.has_signature_ = true;
         break;
       }
       default:

@@ -25,43 +25,35 @@ class Interest {
   explicit Interest(Name name) : name_(std::move(name)) {}
 
   [[nodiscard]] const Name& name() const noexcept { return name_; }
-  void setName(Name name) {
-    name_ = std::move(name);
-    wire_size_cache_ = 0;
-  }
+  void setName(Name name) { name_ = std::move(name); }
 
   [[nodiscard]] bool canBePrefix() const noexcept { return can_be_prefix_; }
   Interest& setCanBePrefix(bool v) noexcept {
     can_be_prefix_ = v;
-    wire_size_cache_ = 0;
     return *this;
   }
 
   [[nodiscard]] bool mustBeFresh() const noexcept { return must_be_fresh_; }
   Interest& setMustBeFresh(bool v) noexcept {
     must_be_fresh_ = v;
-    wire_size_cache_ = 0;
     return *this;
   }
 
   [[nodiscard]] std::uint32_t nonce() const noexcept { return nonce_; }
   Interest& setNonce(std::uint32_t nonce) noexcept {
     nonce_ = nonce;
-    wire_size_cache_ = 0;
     return *this;
   }
 
   [[nodiscard]] sim::Duration lifetime() const noexcept { return lifetime_; }
   Interest& setLifetime(sim::Duration lifetime) noexcept {
     lifetime_ = lifetime;
-    wire_size_cache_ = 0;
     return *this;
   }
 
   [[nodiscard]] std::uint8_t hopLimit() const noexcept { return hop_limit_; }
   Interest& setHopLimit(std::uint8_t limit) noexcept {
     hop_limit_ = limit;
-    wire_size_cache_ = 0;
     return *this;
   }
 
@@ -73,7 +65,6 @@ class Interest {
   }
   Interest& setExcludeDigest(std::uint64_t digest) noexcept {
     exclude_digest_ = digest;
-    wire_size_cache_ = 0;
     return *this;
   }
 
@@ -83,12 +74,10 @@ class Interest {
   }
   Interest& setApplicationParameters(std::vector<std::uint8_t> params) {
     app_parameters_ = std::move(params);
-    wire_size_cache_ = 0;
     return *this;
   }
   Interest& setApplicationParameters(std::string_view text) {
     app_parameters_.assign(text.begin(), text.end());
-    wire_size_cache_ = 0;
     return *this;
   }
 
@@ -118,15 +107,11 @@ class Interest {
   [[nodiscard]] tlv::Buffer wireEncode() const;
   static Result<Interest> wireDecode(std::span<const std::uint8_t> wire);
 
-  /// Size of the wire encoding in bytes (used for link transmission
-  /// delay and per-link byte accounting). Encoding a packet just to
-  /// count it is the single hottest forwarder cost, so the size is
-  /// cached until a wire-visible setter dirties it (trace context and
-  /// flow label ride outside the encoding and never invalidate).
-  [[nodiscard]] std::size_t wireSize() const {
-    if (wire_size_cache_ == 0) wire_size_cache_ = wireEncode().size();
-    return wire_size_cache_;
-  }
+  /// Size of wireEncode() in bytes (link transmission delay and
+  /// per-link byte accounting ask for it on every hop). Computed from
+  /// the TLV length rules without encoding or allocating; the trace
+  /// context and flow label ride outside the encoding and never count.
+  [[nodiscard]] std::size_t wireSize() const noexcept;
 
  private:
   Name name_;
@@ -139,8 +124,6 @@ class Interest {
   std::vector<std::uint8_t> app_parameters_;
   telemetry::TraceContext trace_;
   telemetry::FlowLabel flow_label_;
-  /// 0 = unknown (a TLV encoding is never empty).
-  mutable std::size_t wire_size_cache_ = 0;
 };
 
 /// Content type codes (subset of the NDN spec).
@@ -160,7 +143,7 @@ class Data {
   [[nodiscard]] const Name& name() const noexcept { return name_; }
   void setName(Name name) {
     name_ = std::move(name);
-    invalidateCaches();
+    invalidateDigest();
   }
 
   [[nodiscard]] const std::vector<std::uint8_t>& content() const noexcept {
@@ -168,12 +151,12 @@ class Data {
   }
   Data& setContent(std::vector<std::uint8_t> content) {
     content_ = std::move(content);
-    invalidateCaches();
+    invalidateDigest();
     return *this;
   }
   Data& setContent(std::string_view text) {
     content_.assign(text.begin(), text.end());
-    invalidateCaches();
+    invalidateDigest();
     return *this;
   }
   [[nodiscard]] std::string contentAsString() const {
@@ -183,7 +166,7 @@ class Data {
   [[nodiscard]] ContentType contentType() const noexcept { return content_type_; }
   Data& setContentType(ContentType type) noexcept {
     content_type_ = type;
-    invalidateCaches();
+    invalidateDigest();
     return *this;
   }
 
@@ -191,7 +174,7 @@ class Data {
   [[nodiscard]] sim::Duration freshnessPeriod() const noexcept { return freshness_; }
   Data& setFreshnessPeriod(sim::Duration period) noexcept {
     freshness_ = period;
-    invalidateCaches();
+    invalidateDigest();
     return *this;
   }
 
@@ -200,45 +183,46 @@ class Data {
   /// True if a signature is present and matches the payload.
   [[nodiscard]] bool verify() const;
   /// True once sign() has run (or a signature arrived on the wire).
-  [[nodiscard]] bool hasSignature() const noexcept { return signature_.has_value(); }
+  [[nodiscard]] bool hasSignature() const noexcept { return has_signature_; }
   /// Digest of the packet as it stands now — the value a matching
   /// excludeDigest hint would carry for this exact copy. Memoized: the
   /// forwarder gate, CS admission, CS hits and the consumer all verify
   /// the same bytes, and copies carry the memo along.
   [[nodiscard]] std::uint64_t contentDigest() const {
-    if (!digest_cache_) digest_cache_ = computeDigest();
-    return *digest_cache_;
+    if (!has_digest_) {
+      digest_ = computeDigest();
+      has_digest_ = true;
+    }
+    return digest_;
   }
 
   [[nodiscard]] tlv::Buffer wireEncode() const;
   static Result<Data> wireDecode(std::span<const std::uint8_t> wire);
 
-  /// Cached like Interest::wireSize(): flow attribution and the face
-  /// byte counters ask for the size of every Data crossing a link, and
-  /// re-encoding a 32 KiB payload per query would dwarf the tap itself.
-  [[nodiscard]] std::size_t wireSize() const {
-    if (wire_size_cache_ == 0) wire_size_cache_ = wireEncode().size();
-    return wire_size_cache_;
-  }
+  /// Size of wireEncode() in bytes, computed like Interest::wireSize():
+  /// flow attribution and the face byte counters ask for it on every
+  /// Data crossing a link, so it never encodes the payload.
+  [[nodiscard]] std::size_t wireSize() const noexcept;
 
  private:
   [[nodiscard]] std::uint64_t computeDigest() const;
   /// Every setter of a digest input (name, content, content type,
-  /// freshness) also changes the encoding, so both caches go together.
-  void invalidateCaches() noexcept {
-    wire_size_cache_ = 0;
-    digest_cache_.reset();
-  }
+  /// freshness) drops the memo.
+  void invalidateDigest() noexcept { has_digest_ = false; }
 
   Name name_;
   std::vector<std::uint8_t> content_;
-  ContentType content_type_ = ContentType::kBlob;
   sim::Duration freshness_ = sim::Duration::millis(0);
-  std::optional<std::uint64_t> signature_;
-  /// 0 = unknown (a TLV encoding is never empty).
-  mutable std::size_t wire_size_cache_ = 0;
-  mutable std::optional<std::uint64_t> digest_cache_;
+  std::uint64_t signature_ = 0;
+  mutable std::uint64_t digest_ = 0;
+  ContentType content_type_ = ContentType::kBlob;
+  // Presence flags rather than two std::optionals: every link delivery
+  // and Content Store entry holds a Data, and this packs it in 80 bytes.
+  bool has_signature_ = false;
+  mutable bool has_digest_ = false;
 };
+
+static_assert(sizeof(Data) <= 80);
 
 /// Network NACK reasons (NDNLPv2 subset).
 enum class NackReason : std::uint32_t {

@@ -3,22 +3,14 @@
 namespace lidc::ndn::tlv {
 
 void Encoder::writeVarNumber(std::uint64_t value) {
-  if (value < 253) {
+  const std::size_t size = varNumberSize(value);
+  if (size == 1) {
     buffer_.push_back(static_cast<std::uint8_t>(value));
-  } else if (value <= 0xFFFF) {
-    buffer_.push_back(253);
-    buffer_.push_back(static_cast<std::uint8_t>(value >> 8));
-    buffer_.push_back(static_cast<std::uint8_t>(value));
-  } else if (value <= 0xFFFFFFFF) {
-    buffer_.push_back(254);
-    for (int shift = 24; shift >= 0; shift -= 8) {
-      buffer_.push_back(static_cast<std::uint8_t>(value >> shift));
-    }
-  } else {
-    buffer_.push_back(255);
-    for (int shift = 56; shift >= 0; shift -= 8) {
-      buffer_.push_back(static_cast<std::uint8_t>(value >> shift));
-    }
+    return;
+  }
+  buffer_.push_back(size == 3 ? 253 : size == 5 ? 254 : 255);
+  for (int shift = 8 * static_cast<int>(size - 2); shift >= 0; shift -= 8) {
+    buffer_.push_back(static_cast<std::uint8_t>(value >> shift));
   }
 }
 
@@ -29,24 +21,11 @@ void Encoder::writeBlock(std::uint32_t type, std::span<const std::uint8_t> paylo
 }
 
 void Encoder::writeNonNegativeInteger(std::uint32_t type, std::uint64_t value) {
+  const std::size_t width = nonNegativeIntegerSize(value);
   writeVarNumber(type);
-  if (value <= 0xFF) {
-    writeVarNumber(1);
-    buffer_.push_back(static_cast<std::uint8_t>(value));
-  } else if (value <= 0xFFFF) {
-    writeVarNumber(2);
-    buffer_.push_back(static_cast<std::uint8_t>(value >> 8));
-    buffer_.push_back(static_cast<std::uint8_t>(value));
-  } else if (value <= 0xFFFFFFFF) {
-    writeVarNumber(4);
-    for (int shift = 24; shift >= 0; shift -= 8) {
-      buffer_.push_back(static_cast<std::uint8_t>(value >> shift));
-    }
-  } else {
-    writeVarNumber(8);
-    for (int shift = 56; shift >= 0; shift -= 8) {
-      buffer_.push_back(static_cast<std::uint8_t>(value >> shift));
-    }
+  writeVarNumber(width);
+  for (int shift = 8 * static_cast<int>(width - 1); shift >= 0; shift -= 8) {
+    buffer_.push_back(static_cast<std::uint8_t>(value >> shift));
   }
 }
 

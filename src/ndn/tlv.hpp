@@ -43,6 +43,33 @@ enum Type : std::uint32_t {
 
 using Buffer = std::vector<std::uint8_t>;
 
+/// Encoded size of a var-number (type or length): 1, 3, 5 or 9 bytes.
+constexpr std::size_t varNumberSize(std::uint64_t value) noexcept {
+  if (value < 253) return 1;
+  if (value <= 0xFFFF) return 3;
+  if (value <= 0xFFFFFFFF) return 5;
+  return 9;
+}
+
+/// Minimal NonNegativeInteger width: 1, 2, 4 or 8 bytes.
+constexpr std::size_t nonNegativeIntegerSize(std::uint64_t value) noexcept {
+  if (value <= 0xFF) return 1;
+  if (value <= 0xFFFF) return 2;
+  if (value <= 0xFFFFFFFF) return 4;
+  return 8;
+}
+
+/// Size of a whole TLV block with a `length`-byte value.
+constexpr std::size_t blockSize(std::uint32_t type, std::size_t length) noexcept {
+  return varNumberSize(type) + varNumberSize(length) + length;
+}
+
+/// Size of Encoder::writeNonNegativeInteger(type, value).
+constexpr std::size_t nonNegativeIntegerBlockSize(std::uint32_t type,
+                                                  std::uint64_t value) noexcept {
+  return blockSize(type, nonNegativeIntegerSize(value));
+}
+
 /// Appends TLV blocks to a growing buffer.
 class Encoder {
  public:

@@ -1,6 +1,7 @@
 #include "net/link.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace lidc::net {
 
@@ -42,7 +43,8 @@ sim::Duration Link::transitDelay(std::size_t bytes, int direction) {
   return (depart - sim_.now()) + serialization + params_.latency;
 }
 
-bool LinkFace::scheduleDelivery(std::size_t bytes, std::function<void()> deliver) {
+template <class F>
+bool LinkFace::scheduleDelivery(std::size_t bytes, F&& deliver) {
   if (!link_->up_ || !isUp()) return false;
   if (link_->shouldDrop()) {
     ++link_->dropped_;
@@ -50,43 +52,46 @@ bool LinkFace::scheduleDelivery(std::size_t bytes, std::function<void()> deliver
   }
   const sim::Duration delay = link_->transitDelay(bytes, direction_);
   ++link_->delivered_;
-  link_->sim_.scheduleAfter(delay, std::move(deliver));
+  link_->sim_.scheduleAfter(delay, std::forward<F>(deliver));
   return true;
 }
 
+// Each send copies the packet once, into the delivery closure, which is
+// only moved after that.
 void LinkFace::sendInterest(const ndn::Interest& interest) {
   countOutInterest(interest);
   LinkFace* remote = peer();
   if (remote == nullptr) return;
-  scheduleDelivery(interest.wireSize(), [remote, interest] {
+  scheduleDelivery(interest.wireSize(), [remote, interest = ndn::Interest(interest)] {
     remote->receiveInterest(interest);
   });
 }
 
-ndn::Data Link::maybeCorrupt(const ndn::Data& data) {
+void Link::maybeCorrupt(ndn::Data& data) {
   if (params_.corruptRate <= 0 || data.content().empty() ||
       !corrupt_rng_.bernoulli(params_.corruptRate)) {
-    return data;
+    return;
   }
-  ndn::Data damaged = data;
-  std::vector<std::uint8_t> content = damaged.content();
+  std::vector<std::uint8_t> content = data.content();
   const std::size_t byte = corrupt_rng_.uniform(content.size());
   content[byte] ^= static_cast<std::uint8_t>(1u << corrupt_rng_.uniform(8));
   // setContent leaves any existing signature untouched, so the stale
   // digest travels with the damaged payload — exactly what a bit-flip
   // below the signature does on a real wire.
-  damaged.setContent(std::move(content));
+  data.setContent(std::move(content));
   ++corrupted_;
-  return damaged;
 }
 
 void LinkFace::sendData(const ndn::Data& data) {
   countOutData(data);
   LinkFace* remote = peer();
   if (remote == nullptr) return;
-  const ndn::Data delivered = link_->maybeCorrupt(data);
-  scheduleDelivery(delivered.wireSize(),
-                   [remote, delivered] { remote->receiveData(delivered); });
+  ndn::Data delivered = data;
+  link_->maybeCorrupt(delivered);
+  const std::size_t bytes = delivered.wireSize();
+  scheduleDelivery(bytes, [remote, delivered = std::move(delivered)] {
+    remote->receiveData(delivered);
+  });
 }
 
 void LinkFace::sendNack(const ndn::Nack& nack) {
@@ -94,8 +99,9 @@ void LinkFace::sendNack(const ndn::Nack& nack) {
   LinkFace* remote = peer();
   if (remote == nullptr) return;
   // Nacks are small control packets; use the Interest's wire size.
-  scheduleDelivery(nack.interest().wireSize(),
-                   [remote, nack] { remote->receiveNack(nack); });
+  scheduleDelivery(nack.interest().wireSize(), [remote, nack = ndn::Nack(nack)] {
+    remote->receiveNack(nack);
+  });
 }
 
 }  // namespace lidc::net

@@ -68,9 +68,10 @@ class Link {
   /// (serialization is FIFO per direction).
   sim::Duration transitDelay(std::size_t bytes, int direction);
   bool shouldDrop() { return params_.lossRate > 0 && loss_rng_.bernoulli(params_.lossRate); }
-  /// Returns `data` as the wire delivers it: usually verbatim, with one
-  /// seeded bit flipped in the payload when the corruption draw fires.
-  ndn::Data maybeCorrupt(const ndn::Data& data);
+  /// Turns `data` into what the wire delivers: usually left verbatim,
+  /// with one seeded bit flipped in the payload when the corruption
+  /// draw fires.
+  void maybeCorrupt(ndn::Data& data);
 
   sim::Simulator& sim_;
   LinkParams params_;
@@ -101,7 +102,8 @@ class LinkFace : public ndn::Face {
     return link_->ends_[1 - direction_];
   }
   /// Returns false (drop) or schedules `deliver` after the transit delay.
-  bool scheduleDelivery(std::size_t bytes, std::function<void()> deliver);
+  template <class F>
+  bool scheduleDelivery(std::size_t bytes, F&& deliver);
 
   std::shared_ptr<Link> link_;
   int direction_;  // 0 or 1; index into Link::ends_

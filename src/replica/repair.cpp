@@ -6,6 +6,8 @@ RepairLoop::RepairLoop(sim::Simulator& sim, ReplicaDirectory& directory,
                        PlacementPolicy& policy, RepairOptions options)
     : sim_(sim), directory_(directory), policy_(policy), options_(options) {}
 
+RepairLoop::~RepairLoop() { stop(); }
+
 void RepairLoop::addScheduler(const std::string& cluster,
                               TransferScheduler* scheduler) {
   schedulers_[cluster] = scheduler;
@@ -40,13 +42,13 @@ std::size_t RepairLoop::tick() {
     request.tag = tag;
     it->second->enqueue(
         action.dataset, std::move(request),
-        [this](Status status, std::uint64_t) {
+        [outcomes = outcomes_](Status status, std::uint64_t) {
           if (status.ok()) {
-            ++repairs_completed_;
+            ++outcomes->completed;
           } else if (status.code() != StatusCode::kAborted) {
             // Superseded repairs are not failures; the newer pass owns
             // the dataset now.
-            ++repairs_failed_;
+            ++outcomes->failed;
           }
         });
   }
@@ -72,11 +74,11 @@ void RepairLoop::stop() {
 void RepairLoop::attachTelemetry(telemetry::MetricsRegistry& registry) {
   registry.registerCollector([this, &registry] {
     registry.counter("lidc_replica_repaired_total")
-        .set(static_cast<double>(repairs_completed_));
+        .set(static_cast<double>(outcomes_->completed));
     registry.counter("lidc_replica_repairs_enqueued_total")
         .set(static_cast<double>(repairs_enqueued_));
     registry.counter("lidc_replica_repair_failures_total")
-        .set(static_cast<double>(repairs_failed_));
+        .set(static_cast<double>(outcomes_->failed));
     registry.gauge("lidc_replica_under_replicated")
         .set(static_cast<double>(under_replicated_));
   });

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "replica/policy.hpp"
@@ -37,6 +38,10 @@ class RepairLoop {
  public:
   RepairLoop(sim::Simulator& sim, ReplicaDirectory& directory,
              PlacementPolicy& policy, RepairOptions options = {});
+  /// Cancels the pass timer, which holds `this`.
+  ~RepairLoop();
+  RepairLoop(const RepairLoop&) = delete;
+  RepairLoop& operator=(const RepairLoop&) = delete;
 
   /// Registers the scheduler that stages data onto `cluster`. Plans
   /// targeting clusters without a scheduler are logged and skipped.
@@ -55,10 +60,10 @@ class RepairLoop {
     return repairs_enqueued_;
   }
   [[nodiscard]] std::uint64_t repairsCompleted() const noexcept {
-    return repairs_completed_;
+    return outcomes_->completed;
   }
   [[nodiscard]] std::uint64_t repairsFailed() const noexcept {
-    return repairs_failed_;
+    return outcomes_->failed;
   }
   /// Datasets the latest pass found under-replicated.
   [[nodiscard]] std::size_t underReplicated() const noexcept {
@@ -83,8 +88,12 @@ class RepairLoop {
   sim::EventHandle tick_;
   std::uint64_t passes_ = 0;
   std::uint64_t repairs_enqueued_ = 0;
-  std::uint64_t repairs_completed_ = 0;
-  std::uint64_t repairs_failed_ = 0;
+  struct Outcomes {
+    std::uint64_t completed = 0;
+    std::uint64_t failed = 0;
+  };
+  /// Shared with in-flight repair callbacks, which may outlive the loop.
+  std::shared_ptr<Outcomes> outcomes_ = std::make_shared<Outcomes>();
   std::size_t under_replicated_ = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "sim/simulator.hpp"
 
-#include <cassert>
-#include <utility>
+#include <algorithm>
 
 #include "common/logging.hpp"
 
@@ -25,24 +24,39 @@ Simulator::~Simulator() {
   }
 }
 
-EventHandle Simulator::scheduleAt(Time at, std::function<void()> fn) {
-  assert(fn);
-  if (at < now_) at = now_;
-  auto alive = std::make_shared<bool>(true);
-  EventHandle handle{std::weak_ptr<bool>(alive)};
-  queue_.push(Event{at, next_seq_++, std::move(fn), std::move(alive)});
-  return handle;
+namespace {
+
+/// Heap order: the earliest (at, seq) on top.
+struct Later {
+  template <class E>
+  bool operator()(const E& a, const E& b) const noexcept {
+    if (a.at != b.at) return a.at > b.at;
+    return a.seq > b.seq;
+  }
+};
+
+}  // namespace
+
+void Simulator::push(Time at, std::uint32_t slot, std::uint32_t generation) {
+  heap_.push_back(Entry{at, next_seq_++, slot, generation});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+void Simulator::popHeap() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
 }
 
 bool Simulator::step() {
-  while (!queue_.empty()) {
-    // priority_queue::top is const; move out via const_cast, standard idiom
-    // safe because we immediately pop.
-    Event event = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    if (!*event.alive) continue;  // cancelled
-    now_ = event.at;
-    event.fn();
+  while (!heap_.empty()) {
+    const Entry top = heap_.front();
+    popHeap();
+    if (!slots_->armed(top.slot, top.generation)) continue;  // cancelled
+    now_ = top.at;
+    // Disarm before firing: the callback may schedule into (and so
+    // reallocate) the pool, and pending() reads false from here on.
+    Callback fn = slots_->release(top.slot);
+    fn();
     return true;
   }
   return false;
@@ -56,15 +70,16 @@ std::size_t Simulator::run() {
 
 std::size_t Simulator::runUntil(Time deadline) {
   std::size_t fired = 0;
-  while (!queue_.empty()) {
+  while (!heap_.empty()) {
     // Purge cancelled events at the head so the deadline check below
     // sees the next *live* event (a cancelled head must not let step()
     // run a live event scheduled past the deadline).
-    if (!*queue_.top().alive) {
-      queue_.pop();
+    const Entry& top = heap_.front();
+    if (!slots_->armed(top.slot, top.generation)) {
+      popHeap();
       continue;
     }
-    if (queue_.top().at > deadline) break;
+    if (top.at > deadline) break;
     if (step()) ++fired;
   }
   if (now_ < deadline) now_ = deadline;

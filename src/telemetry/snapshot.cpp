@@ -121,6 +121,11 @@ SnapshotScraper::SnapshotScraper(ndn::Forwarder& forwarder,
   forwarder.addFace(face_);
 }
 
+SnapshotScraper::~SnapshotScraper() {
+  stop();
+  face_->abandonPending();
+}
+
 void SnapshotScraper::watch(const std::string& cluster, SnapshotView& view) {
   if (views_.emplace(cluster, &view).second) watched_.push_back(cluster);
 }

@@ -118,7 +118,9 @@ class SnapshotScraper {
   // Pending Interest callbacks and the scrape tick hold `this`.
   SnapshotScraper(const SnapshotScraper&) = delete;
   SnapshotScraper& operator=(const SnapshotScraper&) = delete;
-  virtual ~SnapshotScraper() = default;
+  /// Cancels the tick and drops in-flight scrapes (their callbacks hold
+  /// `this`); the face stays registered and ignores late replies.
+  virtual ~SnapshotScraper();
 
   [[nodiscard]] const std::vector<std::string>& watchedClusters() const noexcept {
     return watched_;

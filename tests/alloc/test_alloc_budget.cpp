@@ -1,0 +1,130 @@
+// Allocation budgets of the control-plane hot path. This binary replaces
+// the global operator new with one that counts, and asserts exact
+// steady-state counts: a simulator event with a small capture, the
+// wire size of a packet, and a copy of a Name of short components.
+#include <gtest/gtest.h>
+
+#include <array>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "ndn/packet.hpp"
+#include "sim/simulator.hpp"
+
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+
+void* countedAlloc(std::size_t size, std::size_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (size == 0) size = 1;
+  void* p = align <= alignof(std::max_align_t)
+                ? std::malloc(size)
+                : std::aligned_alloc(align, (size + align - 1) / align * align);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return countedAlloc(size, 0); }
+void* operator new[](std::size_t size) { return countedAlloc(size, 0); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return countedAlloc(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return countedAlloc(size, static_cast<std::size_t>(align));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+
+namespace lidc {
+namespace {
+
+template <class F>
+std::size_t allocationsDuring(F&& f) {
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  f();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(AllocBudgetTest, CounterSeesHeapAllocations) {
+  std::unique_ptr<int> escaped;
+  EXPECT_EQ(allocationsDuring([&] { escaped = std::make_unique<int>(1); }), 1u);
+}
+
+TEST(AllocBudgetTest, InlineEventScheduleAndFireAllocateNothing) {
+  sim::Simulator sim;
+  int sink = 0;
+  std::array<std::uint8_t, sim::Callback::kInlineBytes - sizeof(int*)> payload{};
+  payload[0] = 1;
+  auto event = [&sink, payload] { sink += payload[0]; };
+  static_assert(sizeof(event) == sim::Callback::kInlineBytes);
+  auto burst = [&] {
+    for (int i = 0; i < 64; ++i) {
+      sim.scheduleAfter(sim::Duration::micros(i % 7), event);
+    }
+    sim.run();
+  };
+  burst();  // grows the slot pool and the heap to their steady size
+  EXPECT_EQ(allocationsDuring(burst), 0u);
+  EXPECT_EQ(sink, 128);
+}
+
+TEST(AllocBudgetTest, InlineTimerArmAndCancelAllocateNothing) {
+  sim::Simulator sim;
+  int fired = 0;
+  auto armCancel = [&] {
+    for (int i = 0; i < 64; ++i) {
+      sim::EventHandle timer =
+          sim.scheduleAfter(sim::Duration::seconds(4), [&fired] { ++fired; });
+      EXPECT_TRUE(timer.pending());
+      timer.cancel();
+    }
+    sim.run();
+  };
+  armCancel();
+  EXPECT_EQ(allocationsDuring(armCancel), 0u);
+  EXPECT_EQ(fired, 0);
+}
+
+TEST(AllocBudgetTest, WireSizeOfFreshPacketsAllocatesNothing) {
+  ndn::Interest interest(ndn::Name("/ndn/k8s/compute/mem=4&cpu=6&app=BLAST"));
+  interest.setApplicationParameters("params").setExcludeDigest(42).setNonce(7);
+  ndn::Data data(interest.name());
+  data.setContent(std::vector<std::uint8_t>(32 * 1024, 0x5a)).sign();
+  std::size_t sizes = 0;
+  EXPECT_EQ(allocationsDuring([&] { sizes = interest.wireSize() + data.wireSize(); }), 0u);
+  EXPECT_EQ(sizes, interest.wireEncode().size() + data.wireEncode().size());
+}
+
+TEST(AllocBudgetTest, CopyingANameOfShortComponentsAllocatesOnce) {
+  const ndn::Name name("/ndn/k8s/status/job-0000000042/fifteen-bytes-x");
+  for (const auto& component : name) ASSERT_LE(component.size(), 15u);
+  std::optional<ndn::Name> copy;
+  EXPECT_EQ(allocationsDuring([&] { copy.emplace(name); }), 1u);
+  EXPECT_EQ(*copy, name);
+
+  // The inline limit itself, and one byte past it.
+  ndn::Name widest("/ndn");
+  widest.append(ndn::Component(std::string(ndn::Component::kInlineCapacity, 'w')));
+  copy.reset();
+  EXPECT_EQ(allocationsDuring([&] { copy.emplace(widest); }), 1u);
+  ndn::Name spilled("/ndn");
+  spilled.append(ndn::Component(std::string(ndn::Component::kInlineCapacity + 1, 's')));
+  copy.reset();
+  EXPECT_EQ(allocationsDuring([&] { copy.emplace(spilled); }), 2u);
+}
+
+}  // namespace
+}  // namespace lidc

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <random>
+#include <set>
+#include <utility>
+
 #include "ndn/app_face.hpp"
 #include "ndn/forwarder.hpp"
 #include "net/link.hpp"
@@ -40,6 +45,31 @@ TEST(DeadNonceListTest, DuplicateEntriesRefCounted) {
   // Evicting the second copy finally drops it.
   dnl.add(Name("/x"), 5);
   EXPECT_FALSE(dnl.has(Name("/x"), 1));
+}
+
+TEST(DeadNonceListTest, MatchesAFifoMultisetModel) {
+  // Small capacity and few distinct nonces, so the ring wraps many times
+  // and duplicates are common.
+  constexpr std::size_t kCapacity = 37;
+  DeadNonceList dnl(kCapacity);
+  std::deque<std::pair<std::size_t, std::uint32_t>> fifo;
+  std::multiset<std::pair<std::size_t, std::uint32_t>> live;
+  std::mt19937_64 rng(8192);
+  for (int op = 0; op < 20'000; ++op) {
+    const std::size_t nameHash = rng() % 5;
+    const auto nonce = static_cast<std::uint32_t>(rng() % 11);
+    if (rng() % 3 != 0) {
+      dnl.add(nameHash, nonce);
+      fifo.emplace_back(nameHash, nonce);
+      live.emplace(nameHash, nonce);
+      if (fifo.size() > kCapacity) {
+        live.erase(live.find(fifo.front()));
+        fifo.pop_front();
+      }
+    }
+    ASSERT_EQ(dnl.size(), fifo.size());
+    ASSERT_EQ(dnl.has(nameHash, nonce), live.count({nameHash, nonce}) > 0) << "op " << op;
+  }
 }
 
 TEST(DeadNonceListTest, ZeroCapacityDisables) {

@@ -1,7 +1,8 @@
 // Replica directory tests: scraping two cluster catalogs into a merged
 // view, manifest reuse when nothing changed, staleness aging instead of
 // wedging on a blacked-out cluster, periodic scraping, and the snapshot
-// parser's tolerance of malformed lines.
+// parser's tolerance of malformed lines, and a repair loop destroyed
+// mid-run.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,6 +11,8 @@
 
 #include "net/topology.hpp"
 #include "replica/directory.hpp"
+#include "replica/policy.hpp"
+#include "replica/repair.hpp"
 
 namespace lidc::replica {
 namespace {
@@ -153,6 +156,24 @@ TEST_F(ReplicaDirectoryTest, PeriodicScrapingTracksMutations) {
   directory_->stop();
   sim_.run();  // must drain once the ticker is stopped
   EXPECT_FALSE(directory_->running());
+}
+
+TEST_F(ReplicaDirectoryTest, RepairLoopDestroyedMidRunLeavesNoTimerBehind) {
+  eastCatalog_->markReady(kDatasetA, 100);
+  directory_->start();
+  PlacementPolicy policy;
+  auto repair = std::make_unique<RepairLoop>(sim_, *directory_, policy);
+  repair->start();
+  sim_.runUntil(sim_.now() + sim::Duration::seconds(3));
+  EXPECT_EQ(repair->passes(), 1u);
+  repair.reset();
+
+  // The next pass was armed for t=4 s; it must not fire into the
+  // destroyed loop.
+  sim_.runUntil(sim_.now() + sim::Duration::seconds(10));
+  directory_->stop();
+  sim_.run();
+  EXPECT_TRUE(sim_.empty());
 }
 
 TEST_F(ReplicaDirectoryTest, TelemetryMirrorsCounters) {

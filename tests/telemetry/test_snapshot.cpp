@@ -252,6 +252,25 @@ TEST_P(SnapshotProtocolTest, MalformedNamesAreNackedAndCounted) {
   EXPECT_EQ(served(), 0u);
 }
 
+TEST_P(SnapshotProtocolTest, ScraperDestroyedMidRunLeavesNoTimerBehind) {
+  SnapshotScraper* scraper = collector_ ? static_cast<SnapshotScraper*>(collector_.get())
+                                        : directory_.get();
+  scraper->start();
+  // One tick in: the next is armed and this one's Interests are still
+  // crossing the 5 ms link.
+  sim_.runUntil(sim::Time() + sim::Duration::millis(1));
+  EXPECT_EQ(counters().scrapesStarted, 1u);
+  EXPECT_EQ(counters().scrapesSucceeded, 0u);
+  collector_.reset();
+  directory_.reset();
+
+  // Neither the tick nor a late reply may reach the destroyed scraper,
+  // and nothing re-arms: the queue drains.
+  sim_.runUntil(sim_.now() + sim::Duration::seconds(10));
+  sim_.run();
+  EXPECT_TRUE(sim_.empty());
+}
+
 INSTANTIATE_TEST_SUITE_P(Planes, SnapshotProtocolTest,
                          ::testing::Values(Plane::kTelemetry, Plane::kReplica),
                          [](const ::testing::TestParamInfo<Plane>& info) {
