@@ -1,11 +1,15 @@
 // Ablation I — MiniBlast alignment kernel (google-benchmark).
 //
 // Host-time throughput of the real compute kernel behind the magic-blast
-// application: index construction and read alignment, across thread
-// counts and seed lengths. Demonstrates why more CPUs barely help the
-// end-to-end BLAST runtime in Table I: seeding is memory-bound and the
-// per-read work is small relative to I/O at testbed scale.
+// application: index construction, reverse complement and read
+// alignment, across thread counts and seed lengths; one whole
+// genomics_dag alignment stage; and a pure busy loop per thread that
+// measures how many cores the process actually gets, which is what
+// bounds the aligner's thread scaling on a given machine.
 #include <benchmark/benchmark.h>
+
+#include <thread>
+#include <vector>
 
 #include "bench_gbench_util.hpp"
 
@@ -57,6 +61,74 @@ void BM_AlignReads(benchmark::State& state) {
                           static_cast<std::int64_t>(reads().size()));
 }
 BENCHMARK(BM_AlignReads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+void BM_ReverseComplement(benchmark::State& state) {
+  // Both strands of every read are seeded: one reverse complement per
+  // read, here over 1000 reads of 100 bp.
+  const std::vector<Sequence>& all = reads();
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < 1'000; ++i) {
+      auto rc = reverseComplement(all[i].bases);
+      benchmark::DoNotOptimize(rc);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 1'000);
+}
+BENCHMARK(BM_ReverseComplement);
+
+void BM_AlignStage(benchmark::State& state) {
+  // One genomics_dag alignment stage: the aligner (and its index) is
+  // built for a 60 kbp reference, then aligns 1000 reads of 100 bp at
+  // 2 threads.
+  static const std::string stageReference = [] {
+    Rng rng(44);
+    return randomBases(rng, 60'000);
+  }();
+  static const std::vector<Sequence> stageReads = [] {
+    Rng rng(45);
+    return generateReads(rng, stageReference, 1'000, 100, 0.45, 0.03, "STAGE");
+  }();
+  AlignerOptions options;
+  options.threads = 2;
+  for (auto _ : state) {
+    const MiniBlastAligner aligner(stageReference, options);
+    std::vector<Alignment> out;
+    auto stats = aligner.alignAll(stageReads, out);
+    benchmark::DoNotOptimize(stats.basesExamined);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(stageReads.size()));
+}
+BENCHMARK(BM_AlignStage)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_SpinCalibration(benchmark::State& state) {
+  // range(0) threads each run the same fixed busy loop (no memory, no
+  // locks). With that many free cores the wall time stays flat; when it
+  // grows with the thread count, the process gets fewer cores than it
+  // has threads, and neither does the aligner scale past that.
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  constexpr std::uint64_t kSpins = 100'000'000;
+  auto spin = [] {
+    std::uint64_t x = 88172645463325252ULL;
+    for (std::uint64_t i = 0; i < kSpins; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+    }
+    benchmark::DoNotOptimize(x);
+  };
+  for (auto _ : state) {
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < threads; ++t) workers.emplace_back(spin);
+    for (auto& worker : workers) worker.join();
+  }
+}
+BENCHMARK(BM_SpinCalibration)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_CompressReport(benchmark::State& state) {
   const MiniBlastAligner aligner(reference());

@@ -130,9 +130,7 @@ void MiniBlastAligner::alignStrand(const std::string& readId, std::string_view b
   for (std::size_t pos = 0; pos + k <= bases.size(); pos += stride) {
     std::uint64_t packed = 0;
     if (!KmerIndex::pack(bases, pos, k, packed)) continue;
-    const auto* hits = index_.find(packed);
-    if (hits == nullptr) continue;
-    for (const std::uint32_t refPos : *hits) {
+    for (const std::uint32_t refPos : index_.find(packed)) {
       ++stats.seedHits;
       const std::int64_t diagonal =
           static_cast<std::int64_t>(refPos) - static_cast<std::int64_t>(pos);

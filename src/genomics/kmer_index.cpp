@@ -1,10 +1,48 @@
 #include "genomics/kmer_index.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "genomics/sequence.hpp"
 
 namespace lidc::genomics {
+
+namespace {
+
+/// Calls visit(pos, packed) for every all-ACGT window bases[pos .. pos+k),
+/// in ascending order of pos or, when kDescending, descending. The pack
+/// rolls: one table lookup and one shift per base.
+template <bool kDescending, class Visit>
+void forEachWindow(std::string_view bases, unsigned k, Visit&& visit) {
+  const std::size_t n = bases.size();
+  const std::uint64_t mask = (std::uint64_t{1} << (2 * k)) - 1;
+  std::uint64_t packed = 0;
+  std::size_t run = 0;  // ACGT bases in a row, up to the current one
+  for (std::size_t step = 0; step < n; ++step) {
+    const std::size_t i = kDescending ? n - 1 - step : step;
+    const std::uint8_t code = baseCode(bases[i]);
+    run = code > 3 ? 0 : run + 1;
+    if constexpr (kDescending) {
+      packed = (packed >> 2) | (std::uint64_t{code & 3u} << (2 * (k - 1)));
+      if (run >= k) visit(i, packed);
+    } else {
+      packed = ((packed << 2) | (code & 3u)) & mask;
+      if (run >= k) visit(i + 1 - k, packed);
+    }
+  }
+}
+
+}  // namespace
+
+std::size_t KmerIndex::probe(std::uint64_t key) const noexcept {
+  // Fibonacci hashing: the top bits of key * 2^64/phi pick the home slot.
+  std::size_t i = static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+  while (slots_[i].key != key && slots_[i].key != kEmptyKey) {
+    i = (i + 1) & (slots_.size() - 1);
+  }
+  return i;
+}
 
 bool KmerIndex::pack(std::string_view bases, std::size_t pos, unsigned k,
                      std::uint64_t& out) noexcept {
@@ -23,27 +61,47 @@ KmerIndex::KmerIndex(std::string_view reference, unsigned k,
                      std::size_t maxOccurrences)
     : k_(k) {
   assert(k >= 4 && k <= 31);
-  if (reference.size() < k) return;
-  index_.reserve(reference.size());
-  for (std::size_t pos = 0; pos + k <= reference.size(); ++pos) {
-    std::uint64_t packed = 0;
-    if (!pack(reference, pos, k, packed)) continue;
-    index_[packed].push_back(static_cast<std::uint32_t>(pos));
-  }
-  // Repeat masking: drop k-mers that occur too often.
-  for (auto it = index_.begin(); it != index_.end();) {
-    if (it->second.size() > maxOccurrences) {
+  const std::size_t windows = reference.size() >= k ? reference.size() - k + 1 : 0;
+  // At least one slot always stays empty, so every probe terminates.
+  const std::size_t capacity = std::bit_ceil(std::max<std::size_t>(2 * windows, 2));
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+  slots_.assign(capacity, Slot{kEmptyKey, 0, 0});
+
+  // Pass 1: count each k-mer's occurrences.
+  forEachWindow<false>(reference, k, [this](std::size_t, std::uint64_t packed) {
+    Slot& slot = slots_[probe(packed)];
+    slot.key = packed;
+    ++slot.count;
+  });
+
+  // Lay the ranges out. Each begin starts one past its range's end; a
+  // masked k-mer keeps its key and gets an empty range.
+  std::uint32_t end = 0;
+  for (Slot& slot : slots_) {
+    if (slot.key == kEmptyKey) continue;
+    if (slot.count > maxOccurrences) {
       ++masked_;
-      it = index_.erase(it);
-    } else {
-      ++it;
+      slot.count = 0;
+      continue;
     }
+    ++distinct_;
+    end += slot.count;
+    slot.begin = end;
   }
+  positions_.resize(end);
+
+  // Pass 2: positions arrive descending and each is written just below
+  // the previous one of its k-mer, so every range ends up ascending with
+  // begin back at its start.
+  forEachWindow<true>(reference, k, [this](std::size_t pos, std::uint64_t packed) {
+    Slot& slot = slots_[probe(packed)];
+    if (slot.count != 0) positions_[--slot.begin] = static_cast<std::uint32_t>(pos);
+  });
 }
 
-const std::vector<std::uint32_t>* KmerIndex::find(std::uint64_t packed) const {
-  auto it = index_.find(packed);
-  return it == index_.end() ? nullptr : &it->second;
+std::span<const std::uint32_t> KmerIndex::find(std::uint64_t packed) const noexcept {
+  const Slot& slot = slots_[probe(packed)];
+  return {positions_.data() + slot.begin, slot.count};
 }
 
 }  // namespace lidc::genomics

@@ -4,6 +4,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/logging.hpp"
 #include "common/strings.hpp"
@@ -154,13 +156,12 @@ k8s::AppRunner makeMagicBlastRunner(datalake::ObjectStore& store,
         std::max<std::size_t>(1, static_cast<std::size_t>(
                                      context.spec.requests.cpu.cores()));
     options.threads = std::min(cores, config.maxAlignerThreads);
-    MiniBlastAligner aligner(refSequences->front().bases, options);
-    auto pending = std::make_shared<std::vector<Sequence>>(
-        reads->begin() + static_cast<std::ptrdiff_t>(
-                             std::min(resumeOffset, totalReads)),
-        reads->end());
+    MiniBlastAligner aligner(std::move(refSequences->front().bases), options);
+    std::vector<Sequence>& pending = *reads;
+    pending.erase(pending.begin(), pending.begin() + static_cast<std::ptrdiff_t>(
+                                                         std::min(resumeOffset, totalReads)));
     auto alignments = std::make_shared<std::vector<Alignment>>();
-    const AlignerStats stats = aligner.alignAll(*pending, *alignments);
+    const AlignerStats stats = aligner.alignAll(pending, *alignments);
 
     auto newReport = encodeCompressedReport(*alignments);
     std::vector<std::uint8_t> compressed = priorReport;
@@ -200,7 +201,7 @@ k8s::AppRunner makeMagicBlastRunner(datalake::ObjectStore& store,
     // A resumed run only re-does the reads past the checkpoint.
     const double remainingFraction =
         totalReads == 0 ? 1.0
-                        : static_cast<double>(pending->size()) /
+                        : static_cast<double>(pending.size()) /
                               static_cast<double>(totalReads);
     seconds *= remainingFraction;
     result.runtime = sim::Duration::seconds(seconds);
@@ -227,24 +228,29 @@ k8s::AppRunner makeMagicBlastRunner(datalake::ObjectStore& store,
     // alignments of the first k freshly processed reads.
     auto priorShared =
         std::make_shared<std::vector<std::uint8_t>>(std::move(priorReport));
-    auto processedIds = std::make_shared<std::vector<std::string>>();
-    processedIds->reserve(pending->size());
-    for (const auto& read : *pending) processedIds->push_back(read.id);
-    const std::size_t processedCount = pending->size();
+    // Each alignment's read ordinal within this execution (the first
+    // read bearing its id), computed once for every plan call.
+    auto ordinals = std::make_shared<std::vector<std::size_t>>();
+    {
+      std::unordered_map<std::string_view, std::size_t> order;
+      order.reserve(pending.size());
+      for (std::size_t i = 0; i < pending.size(); ++i) {
+        order.emplace(pending[i].id, i);
+      }
+      ordinals->reserve(alignments->size());
+      for (const auto& alignment : *alignments) {
+        ordinals->push_back(order.at(alignment.readId));
+      }
+    }
+    const std::size_t processedCount = pending.size();
     result.checkpointPlan = [resumeOffset, totalReads, processedCount,
-                             priorShared, alignments,
-                             processedIds](double progress) {
+                             priorShared, alignments, ordinals](double progress) {
       progress = std::clamp(progress, 0.0, 1.0);
       const std::size_t k = static_cast<std::size_t>(
           progress * static_cast<double>(processedCount));
-      std::map<std::string, std::size_t> order;
-      for (std::size_t i = 0; i < processedIds->size(); ++i) {
-        order.emplace((*processedIds)[i], i);
-      }
       std::vector<Alignment> covered;
-      for (const auto& alignment : *alignments) {
-        auto it = order.find(alignment.readId);
-        if (it != order.end() && it->second < k) covered.push_back(alignment);
+      for (std::size_t i = 0; i < alignments->size(); ++i) {
+        if ((*ordinals)[i] < k) covered.push_back((*alignments)[i]);
       }
       auto report = encodeCompressedReport(covered);
       std::vector<std::uint8_t> merged = *priorShared;

@@ -6,27 +6,10 @@
 namespace lidc::genomics {
 
 std::string reverseComplement(std::string_view bases) {
-  std::string out;
-  out.reserve(bases.size());
-  for (auto it = bases.rbegin(); it != bases.rend(); ++it) {
-    switch (*it) {
-      case 'A':
-        out.push_back('T');
-        break;
-      case 'C':
-        out.push_back('G');
-        break;
-      case 'G':
-        out.push_back('C');
-        break;
-      case 'T':
-        out.push_back('A');
-        break;
-      default:
-        out.push_back('N');
-        break;
-    }
-  }
+  std::string out(bases.size(), 'N');
+  std::transform(bases.rbegin(), bases.rend(), out.begin(), [](char base) {
+    return detail::kBaseTables.complement[static_cast<unsigned char>(base)];
+  });
   return out;
 }
 

@@ -3,8 +3,10 @@
 // generation is seeded so every bench sees identical data.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -19,20 +21,30 @@ struct Sequence {
   [[nodiscard]] std::size_t length() const noexcept { return bases.size(); }
 };
 
+namespace detail {
+/// 256-entry byte tables: base codes (A/C/G/T -> 0..3, anything else 4)
+/// and Watson-Crick complements (anything but A/C/G/T -> 'N').
+struct BaseTables {
+  std::array<std::uint8_t, 256> code{};
+  std::array<char, 256> complement{};
+};
+inline constexpr BaseTables kBaseTables = [] {
+  BaseTables tables;
+  tables.code.fill(4);
+  tables.complement.fill('N');
+  constexpr char kAcgt[] = "ACGT";
+  for (std::uint8_t code = 0; code < 4; ++code) {
+    const auto base = static_cast<unsigned char>(kAcgt[code]);
+    tables.code[base] = code;
+    tables.complement[base] = kAcgt[3 - code];
+  }
+  return tables;
+}();
+}  // namespace detail
+
 /// Maps A/C/G/T to 0..3; returns 4 for anything else.
 constexpr std::uint8_t baseCode(char base) noexcept {
-  switch (base) {
-    case 'A':
-      return 0;
-    case 'C':
-      return 1;
-    case 'G':
-      return 2;
-    case 'T':
-      return 3;
-    default:
-      return 4;
-  }
+  return detail::kBaseTables.code[static_cast<unsigned char>(base)];
 }
 
 constexpr char codeBase(std::uint8_t code) noexcept {

@@ -23,11 +23,11 @@ std::size_t RepairLoop::tick() {
     }
   }
   const std::vector<PlacementAction> actions = policy_.plan(directory_);
-  under_replicated_ = policy_.lastUnderReplicated();
-  if (under_replicated_ > 0) {
+  counts_->underReplicated = policy_.lastUnderReplicated();
+  if (counts_->underReplicated > 0) {
     LIDC_FR_EVENT(recorder_, kWarn, "replica",
                   "repair pass " + std::to_string(passes_) + ": " +
-                      std::to_string(under_replicated_) +
+                      std::to_string(counts_->underReplicated) +
                       " under-replicated dataset(s), " +
                       std::to_string(actions.size()) + " transfer(s)");
   }
@@ -36,19 +36,19 @@ std::size_t RepairLoop::tick() {
     auto it = schedulers_.find(action.destination);
     if (it == schedulers_.end()) continue;
     ++enqueued;
-    ++repairs_enqueued_;
+    ++counts_->enqueued;
     TransferRequest request;
     request.priority = options_.priority + action.priority;
     request.tag = tag;
     it->second->enqueue(
         action.dataset, std::move(request),
-        [outcomes = outcomes_](Status status, std::uint64_t) {
+        [counts = counts_](Status status, std::uint64_t) {
           if (status.ok()) {
-            ++outcomes->completed;
+            ++counts->completed;
           } else if (status.code() != StatusCode::kAborted) {
             // Superseded repairs are not failures; the newer pass owns
             // the dataset now.
-            ++outcomes->failed;
+            ++counts->failed;
           }
         });
   }
@@ -72,15 +72,15 @@ void RepairLoop::stop() {
 }
 
 void RepairLoop::attachTelemetry(telemetry::MetricsRegistry& registry) {
-  registry.registerCollector([this, &registry] {
+  registry.registerCollector([counts = counts_, &registry] {
     registry.counter("lidc_replica_repaired_total")
-        .set(static_cast<double>(outcomes_->completed));
+        .set(static_cast<double>(counts->completed));
     registry.counter("lidc_replica_repairs_enqueued_total")
-        .set(static_cast<double>(repairs_enqueued_));
+        .set(static_cast<double>(counts->enqueued));
     registry.counter("lidc_replica_repair_failures_total")
-        .set(static_cast<double>(outcomes_->failed));
+        .set(static_cast<double>(counts->failed));
     registry.gauge("lidc_replica_under_replicated")
-        .set(static_cast<double>(under_replicated_));
+        .set(static_cast<double>(counts->underReplicated));
   });
 }
 

@@ -57,21 +57,22 @@ class RepairLoop {
 
   [[nodiscard]] std::uint64_t passes() const noexcept { return passes_; }
   [[nodiscard]] std::uint64_t repairsEnqueued() const noexcept {
-    return repairs_enqueued_;
+    return counts_->enqueued;
   }
   [[nodiscard]] std::uint64_t repairsCompleted() const noexcept {
-    return outcomes_->completed;
+    return counts_->completed;
   }
   [[nodiscard]] std::uint64_t repairsFailed() const noexcept {
-    return outcomes_->failed;
+    return counts_->failed;
   }
   /// Datasets the latest pass found under-replicated.
   [[nodiscard]] std::size_t underReplicated() const noexcept {
-    return under_replicated_;
+    return counts_->underReplicated;
   }
 
   /// Mirrors lidc_replica_repaired_total and the
-  /// lidc_replica_under_replicated gauge into `registry`.
+  /// lidc_replica_under_replicated gauge into `registry`. The collector
+  /// shares the counts, not the loop, so it may outlive the loop.
   void attachTelemetry(telemetry::MetricsRegistry& registry);
   void setFlightRecorder(telemetry::FlightRecorder* recorder) noexcept {
     recorder_ = recorder;
@@ -87,14 +88,15 @@ class RepairLoop {
   bool running_ = false;
   sim::EventHandle tick_;
   std::uint64_t passes_ = 0;
-  std::uint64_t repairs_enqueued_ = 0;
-  struct Outcomes {
+  struct Counts {
+    std::uint64_t enqueued = 0;
     std::uint64_t completed = 0;
     std::uint64_t failed = 0;
+    std::size_t underReplicated = 0;  // latest pass
   };
-  /// Shared with in-flight repair callbacks, which may outlive the loop.
-  std::shared_ptr<Outcomes> outcomes_ = std::make_shared<Outcomes>();
-  std::size_t under_replicated_ = 0;
+  /// Shared with in-flight repair callbacks and the telemetry collector,
+  /// which may outlive the loop.
+  std::shared_ptr<Counts> counts_ = std::make_shared<Counts>();
 };
 
 /// AlertEngine value source over a repair loop:

@@ -30,6 +30,8 @@ SnapshotPublisher::SnapshotPublisher(ndn::Forwarder& forwarder,
   forwarder.registerPrefix(prefix, faceId, /*cost=*/0);
 }
 
+SnapshotPublisher::~SnapshotPublisher() { face_->setInterestHandler(nullptr); }
+
 void SnapshotPublisher::addStream(const std::string& stream, Content content,
                                   Revision revision) {
   Stream& s = streams_[stream];

@@ -34,6 +34,9 @@ class SnapshotPublisher {
   // The AppFace's Interest handler holds `this`.
   SnapshotPublisher(const SnapshotPublisher&) = delete;
   SnapshotPublisher& operator=(const SnapshotPublisher&) = delete;
+  /// Detaches the Interest handler; the forwarder keeps the face, which
+  /// then ignores Interests (they time out at the requester).
+  ~SnapshotPublisher();
 
   [[nodiscard]] std::uint64_t snapshotsGenerated() const noexcept {
     return snapshots_generated_;

@@ -1,7 +1,8 @@
-// Allocation budgets of the control-plane hot path. This binary replaces
-// the global operator new with one that counts, and asserts exact
-// steady-state counts: a simulator event with a small capture, the
-// wire size of a packet, and a copy of a Name of short components.
+// Allocation budgets of the control-plane hot path and the aligner's
+// seeding index. This binary replaces the global operator new with one
+// that counts, and asserts exact steady-state counts: a simulator event
+// with a small capture, the wire size of a packet, a copy of a Name of
+// short components, a k-mer index build and a k-mer lookup.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -14,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "genomics/kmer_index.hpp"
+#include "genomics/sequence.hpp"
 #include "ndn/packet.hpp"
 #include "sim/simulator.hpp"
 
@@ -124,6 +127,37 @@ TEST(AllocBudgetTest, CopyingANameOfShortComponentsAllocatesOnce) {
   spilled.append(ndn::Component(std::string(ndn::Component::kInlineCapacity + 1, 's')));
   copy.reset();
   EXPECT_EQ(allocationsDuring([&] { copy.emplace(spilled); }), 2u);
+}
+
+TEST(AllocBudgetTest, KmerIndexBuildAllocationsDoNotGrowWithTheReference) {
+  Rng rng(9);
+  const std::string small = genomics::randomBases(rng, 20'000);
+  const std::string large = genomics::randomBases(rng, 200'000);
+  const std::size_t smallBuild =
+      allocationsDuring([&] { genomics::KmerIndex index(small, 11); });
+  const std::size_t largeBuild =
+      allocationsDuring([&] { genomics::KmerIndex index(large, 11); });
+  // The slot array and the positions array.
+  EXPECT_EQ(smallBuild, 2u);
+  EXPECT_EQ(largeBuild, smallBuild);
+}
+
+TEST(AllocBudgetTest, KmerLookupAllocatesNothing) {
+  Rng rng(10);
+  const std::string reference = genomics::randomBases(rng, 20'000);
+  const genomics::KmerIndex index(reference, 11);
+  std::size_t hits = 0;
+  EXPECT_EQ(allocationsDuring([&] {
+              for (std::size_t pos = 0; pos + 11 <= 2'000; ++pos) {
+                std::uint64_t packed = 0;
+                if (genomics::KmerIndex::pack(reference, pos, 11, packed)) {
+                  hits += index.find(packed).size();
+                }
+              }
+              hits += index.find(std::uint64_t{1} << 21).size();
+            }),
+            0u);
+  EXPECT_GE(hits, 1'990u);
 }
 
 }  // namespace

@@ -5,8 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#include "k8s/cluster.hpp"
+#include "genomics/aligner.hpp"
 #include "genomics/fasta.hpp"
+#include "k8s/cluster.hpp"
 
 namespace lidc::genomics {
 namespace {
@@ -126,6 +127,36 @@ TEST_F(MagicBlastAppTest, OutputSizeShapeMatchesTableOne) {
   // Absolute scale: hundreds of MB to a few GB.
   EXPECT_GT(rice.outputBytes, 100'000'000u);
   EXPECT_LT(rice.outputBytes, 4'000'000'000u);
+}
+
+TEST_F(MagicBlastAppTest, CheckpointPayloadsMatchADirectComputation) {
+  // The plan at progress p covers the first floor(p * n) reads: its
+  // payload is the header plus the report of aligning exactly those
+  // reads, computed here without the runner.
+  const auto result = run("SRR2931415", 2, 4);
+  ASSERT_TRUE(result.status.ok()) << result.status;
+  ASSERT_TRUE(result.checkpointPlan);
+  const auto reads = fromFasta(*store_.get(ndn::Name("/ndn/k8s/data/SRR2931415")));
+  ASSERT_TRUE(reads.ok());
+  AlignerOptions options;
+  options.threads = 2;
+  const MiniBlastAligner aligner(catalog_.generateReference().bases, options);
+
+  for (const double progress : {0.0, 0.37, 1.0}) {
+    const auto covered = static_cast<std::size_t>(
+        progress * static_cast<double>(reads->size()));
+    const std::vector<Sequence> prefix(reads->begin(),
+                                       reads->begin() + static_cast<std::ptrdiff_t>(covered));
+    std::vector<Alignment> alignments;
+    (void)aligner.alignAll(prefix, alignments);
+    EXPECT_EQ(alignments.empty(), covered == 0) << "progress " << progress;
+    const std::string header = "app=magic-blast;offset=" + std::to_string(covered) +
+                               ";total=" + std::to_string(reads->size()) + "\n";
+    std::vector<std::uint8_t> expected(header.begin(), header.end());
+    const auto report = encodeCompressedReport(alignments);
+    expected.insert(expected.end(), report.begin(), report.end());
+    EXPECT_EQ(result.checkpointPlan(progress), expected) << "progress " << progress;
+  }
 }
 
 }  // namespace

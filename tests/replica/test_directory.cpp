@@ -2,7 +2,7 @@
 // view, manifest reuse when nothing changed, staleness aging instead of
 // wedging on a blacked-out cluster, periodic scraping, and the snapshot
 // parser's tolerance of malformed lines, and a repair loop destroyed
-// mid-run.
+// mid-run (its timer and its telemetry collector).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -172,6 +172,27 @@ TEST_F(ReplicaDirectoryTest, RepairLoopDestroyedMidRunLeavesNoTimerBehind) {
   // destroyed loop.
   sim_.runUntil(sim_.now() + sim::Duration::seconds(10));
   directory_->stop();
+  sim_.run();
+  EXPECT_TRUE(sim_.empty());
+}
+
+TEST_F(ReplicaDirectoryTest, RepairLoopDestroyedLeavesNoCollectorOnItBehind) {
+  telemetry::MetricsRegistry registry;
+  PlacementPolicy policy;
+  auto repair = std::make_unique<RepairLoop>(sim_, *directory_, policy);
+  repair->attachTelemetry(registry);
+  repair->start();
+  sim_.runUntil(sim_.now() + sim::Duration::seconds(3));
+  ASSERT_EQ(repair->passes(), 1u);
+  const std::uint64_t enqueued = repair->repairsEnqueued();
+  repair.reset();
+
+  // The registry outlives the loop; collecting must not read the
+  // destroyed loop, and the series keep the last counts.
+  const auto metrics = registry.flatten("lidc_replica_repair");
+  EXPECT_EQ(metrics.at("lidc_replica_repairs_enqueued_total"),
+            static_cast<double>(enqueued));
+  EXPECT_EQ(metrics.at("lidc_replica_repair_failures_total"), 0.0);
   sim_.run();
   EXPECT_TRUE(sim_.empty());
 }

@@ -271,6 +271,31 @@ TEST_P(SnapshotProtocolTest, ScraperDestroyedMidRunLeavesNoTimerBehind) {
   EXPECT_TRUE(sim_.empty());
 }
 
+TEST_P(SnapshotProtocolTest, PublisherDestroyedMidRunLeavesNoHandlerBehind) {
+  // A manifest Interest is crossing the 5 ms link when the publisher
+  // goes; the forwarder keeps its face, which must not call back into
+  // the destroyed publisher. The Interest goes unanswered.
+  ndn::Name name = stream_;
+  name.append(manifest_);
+  ndn::Interest interest(name);
+  interest.setMustBeFresh(true).setLifetime(sim::Duration::seconds(1));
+  bool answered = false;
+  bool timedOut = false;
+  probe_->expressInterest(
+      std::move(interest),
+      [&answered](const ndn::Interest&, const ndn::Data&) { answered = true; },
+      [&answered](const ndn::Interest&, const ndn::Nack&) { answered = true; },
+      [&timedOut](const ndn::Interest&) { timedOut = true; });
+  sim_.runUntil(sim::Time() + sim::Duration::millis(1));
+  publisher_.reset();
+  catalog_.reset();
+
+  sim_.run();
+  EXPECT_FALSE(answered);
+  EXPECT_TRUE(timedOut);
+  EXPECT_TRUE(sim_.empty());
+}
+
 INSTANTIATE_TEST_SUITE_P(Planes, SnapshotProtocolTest,
                          ::testing::Values(Plane::kTelemetry, Plane::kReplica),
                          [](const ::testing::TestParamInfo<Plane>& info) {
