@@ -20,12 +20,12 @@ std::string Alignment::toRecord() const {
 }
 
 MiniBlastAligner::MiniBlastAligner(std::string reference, AlignerOptions options)
-    : reference_(std::move(reference)),
-      options_(options),
-      index_(reference_, options.k, options.maxSeedOccurrences) {}
+    : db_(ReferenceDb::get(std::move(reference), options.k, options.maxSeedOccurrences)),
+      options_(options) {}
 
 Alignment MiniBlastAligner::extend(std::string_view read, std::uint32_t readPos,
                                    std::uint32_t refPos, AlignerStats& stats) const {
+  const std::string& reference = db_->reference();
   const int match = options_.matchScore;
   const int mismatch = -options_.mismatchPenalty;
 
@@ -49,9 +49,9 @@ Alignment MiniBlastAligner::extend(std::string_view read, std::uint32_t readPos,
     std::uint32_t mm = mismatches;
     std::uint32_t i = 0;
     while (readPos + k + i < read.size() &&
-           refPos + k + i < reference_.size()) {
+           refPos + k + i < reference.size()) {
       ++stats.basesExamined;
-      if (read[readPos + k + i] == reference_[refPos + k + i]) {
+      if (read[readPos + k + i] == reference[refPos + k + i]) {
         current += match;
         ++m;
       } else {
@@ -85,7 +85,7 @@ Alignment MiniBlastAligner::extend(std::string_view read, std::uint32_t readPos,
     std::uint32_t i = 0;
     while (i < readPos && i < refPos) {
       ++stats.basesExamined;
-      if (read[readPos - 1 - i] == reference_[refPos - 1 - i]) {
+      if (read[readPos - 1 - i] == reference[refPos - 1 - i]) {
         current += match;
         ++m;
       } else {
@@ -124,13 +124,14 @@ void MiniBlastAligner::alignStrand(const std::string& readId, std::string_view b
   if (bases.size() < k) return;
 
   // Seed: collect hits binned by diagonal (refPos - readPos).
+  const KmerIndex& index = db_->index();
   std::map<std::int64_t, std::vector<std::pair<std::uint32_t, std::uint32_t>>> diagonals;
   // Stride seeds by k/2 for speed, as real seeders do.
   const std::size_t stride = std::max<std::size_t>(1, k / 2);
   for (std::size_t pos = 0; pos + k <= bases.size(); pos += stride) {
     std::uint64_t packed = 0;
     if (!KmerIndex::pack(bases, pos, k, packed)) continue;
-    for (const std::uint32_t refPos : index_.find(packed)) {
+    for (const std::uint32_t refPos : index.find(packed)) {
       ++stats.seedHits;
       const std::int64_t diagonal =
           static_cast<std::int64_t>(refPos) - static_cast<std::int64_t>(pos);

@@ -6,10 +6,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "genomics/kmer_index.hpp"
+#include "genomics/reference_db.hpp"
 #include "genomics/sequence.hpp"
 
 namespace lidc::genomics {
@@ -56,6 +58,9 @@ struct AlignerStats {
 
 class MiniBlastAligner {
  public:
+  /// Aligns against the shared database of `reference` for options.k and
+  /// options.maxSeedOccurrences (ReferenceDb::get): built here only when
+  /// no one holds it yet.
   MiniBlastAligner(std::string reference, AlignerOptions options = {});
 
   /// Aligns every read (both strands); thread-parallel when
@@ -66,7 +71,10 @@ class MiniBlastAligner {
   /// Aligns one read; returns reported alignments.
   std::vector<Alignment> alignRead(const Sequence& read, AlignerStats& stats) const;
 
-  [[nodiscard]] const KmerIndex& index() const noexcept { return index_; }
+  [[nodiscard]] const KmerIndex& index() const noexcept { return db_->index(); }
+  [[nodiscard]] const std::shared_ptr<const ReferenceDb>& db() const noexcept {
+    return db_;
+  }
   [[nodiscard]] const AlignerOptions& options() const noexcept { return options_; }
 
  private:
@@ -79,9 +87,8 @@ class MiniBlastAligner {
   Alignment extend(std::string_view read, std::uint32_t readPos,
                    std::uint32_t refPos, AlignerStats& stats) const;
 
-  std::string reference_;
+  std::shared_ptr<const ReferenceDb> db_;
   AlignerOptions options_;
-  KmerIndex index_;
 };
 
 /// Serializes alignments to a report and "compresses" it (simple LZ-style

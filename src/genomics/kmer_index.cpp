@@ -36,10 +36,17 @@ void forEachWindow(std::string_view bases, unsigned k, Visit&& visit) {
 }  // namespace
 
 std::size_t KmerIndex::probe(std::uint64_t key) const noexcept {
+  const std::size_t mask = slots_.size() - 2;  // the table, sentinel aside, is 2^n
   // Fibonacci hashing: the top bits of key * 2^64/phi pick the home slot.
   std::size_t i = static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
-  while (slots_[i].key != key && slots_[i].key != kEmptyKey) {
-    i = (i + 1) & (slots_.size() - 1);
+  const auto low = static_cast<std::uint32_t>(key);
+  if (high_.empty()) {
+    while (slots_[i].key != low && slots_[i].key != kEmpty) i = (i + 1) & mask;
+    return i;
+  }
+  const auto high = static_cast<std::uint32_t>(key >> 32);
+  while (!(slots_[i].key == low && high_[i] == high) && high_[i] != kEmpty) {
+    i = (i + 1) & mask;
   }
   return i;
 }
@@ -65,43 +72,55 @@ KmerIndex::KmerIndex(std::string_view reference, unsigned k,
   // At least one slot always stays empty, so every probe terminates.
   const std::size_t capacity = std::bit_ceil(std::max<std::size_t>(2 * windows, 2));
   shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
-  slots_.assign(capacity, Slot{kEmptyKey, 0, 0});
+  slots_.assign(capacity + 1, Slot{kEmpty, 0});
+  if (2 * k > 30) high_.assign(capacity, kEmpty);
 
-  // Pass 1: count each k-mer's occurrences.
+  // Pass 1: count each k-mer's occurrences in its slot's begin.
   forEachWindow<false>(reference, k, [this](std::size_t, std::uint64_t packed) {
-    Slot& slot = slots_[probe(packed)];
-    slot.key = packed;
-    ++slot.count;
+    const std::size_t i = probe(packed);
+    slots_[i].key = static_cast<std::uint32_t>(packed);
+    if (!high_.empty()) high_[i] = static_cast<std::uint32_t>(packed >> 32);
+    ++slots_[i].begin;
   });
 
-  // Lay the ranges out. Each begin starts one past its range's end; a
-  // masked k-mer keeps its key and gets an empty range.
+  // Lay the ranges out in slot order. Each begin starts one past its
+  // range's end; empty slots get the empty range where the next one
+  // starts. A masked k-mer becomes a tombstone with an empty range:
+  // probes pass over it, so looking it up lands on an empty slot.
   std::uint32_t end = 0;
-  for (Slot& slot : slots_) {
-    if (slot.key == kEmptyKey) continue;
-    if (slot.count > maxOccurrences) {
-      ++masked_;
-      slot.count = 0;
-      continue;
+  for (std::size_t i = 0; i < capacity; ++i) {
+    Slot& slot = slots_[i];
+    if (tag(i) != kEmpty) {
+      if (slot.begin > maxOccurrences) {
+        ++masked_;
+        (high_.empty() ? slot.key : high_[i]) = kMasked;
+      } else {
+        ++distinct_;
+        end += slot.begin;
+      }
     }
-    ++distinct_;
-    end += slot.count;
     slot.begin = end;
   }
+  slots_[capacity].begin = end;
   positions_.resize(end);
 
   // Pass 2: positions arrive descending and each is written just below
   // the previous one of its k-mer, so every range ends up ascending with
   // begin back at its start.
   forEachWindow<true>(reference, k, [this](std::size_t pos, std::uint64_t packed) {
-    Slot& slot = slots_[probe(packed)];
-    if (slot.count != 0) positions_[--slot.begin] = static_cast<std::uint32_t>(pos);
+    const std::size_t i = probe(packed);
+    if (tag(i) != kEmpty) positions_[--slots_[i].begin] = static_cast<std::uint32_t>(pos);
   });
 }
 
+std::size_t KmerIndex::residentBytes() const noexcept {
+  return slots_.capacity() * sizeof(Slot) +
+         (high_.capacity() + positions_.capacity()) * sizeof(std::uint32_t);
+}
+
 std::span<const std::uint32_t> KmerIndex::find(std::uint64_t packed) const noexcept {
-  const Slot& slot = slots_[probe(packed)];
-  return {positions_.data() + slot.begin, slot.count};
+  const std::size_t i = probe(packed);
+  return {positions_.data() + slots_[i].begin, slots_[i + 1].begin - slots_[i].begin};
 }
 
 }  // namespace lidc::genomics

@@ -83,7 +83,11 @@ std::optional<BlastCheckpoint> decodeBlastCheckpoint(
 k8s::AppRunner makeMagicBlastRunner(datalake::ObjectStore& store,
                                     const DatasetCatalog& catalog,
                                     MagicBlastConfig config) {
-  return [&store, catalog, config](k8s::AppContext& context) -> k8s::AppResult {
+  // warmDb: the database of the last reference this runner aligned
+  // against, kept resident so the next stage on the cluster finds it
+  // instead of rebuilding it.
+  return [&store, catalog, config, warmDb = std::shared_ptr<const ReferenceDb>()](
+             k8s::AppContext& context) mutable -> k8s::AppResult {
     k8s::AppResult result;
 
     const std::string srrId = argOr(context.spec.args, "srr_id", "");
@@ -157,6 +161,7 @@ k8s::AppRunner makeMagicBlastRunner(datalake::ObjectStore& store,
                                      context.spec.requests.cpu.cores()));
     options.threads = std::min(cores, config.maxAlignerThreads);
     MiniBlastAligner aligner(std::move(refSequences->front().bases), options);
+    warmDb = aligner.db();
     std::vector<Sequence>& pending = *reads;
     pending.erase(pending.begin(), pending.begin() + static_cast<std::ptrdiff_t>(
                                                          std::min(resumeOffset, totalReads)));

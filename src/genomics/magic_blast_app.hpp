@@ -63,7 +63,9 @@ struct MagicBlastConfig {
 /// also sets AppResult::checkpointPlan, the incremental-progress hook
 /// the CheckpointManager samples: progress p maps to a payload of
 /// "app=magic-blast;offset=<reads done>;total=<reads>\n" followed by the
-/// compressed partial report of the covered reads.
+/// compressed partial report of the covered reads. The runner keeps the
+/// reference database (ReferenceDb) of its last run resident, so later
+/// runs against the same reference reuse its seed index.
 k8s::AppRunner makeMagicBlastRunner(datalake::ObjectStore& store,
                                     const DatasetCatalog& catalog,
                                     MagicBlastConfig config = {});

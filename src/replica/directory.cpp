@@ -37,6 +37,8 @@ ReplicaDirectory::ReplicaDirectory(ndn::Forwarder& forwarder)
                       kReplicaPrefix, /*stream=*/"", kReplicaMapComponent,
                       telemetry::ScrapeTiming{}) {}
 
+ReplicaDirectory::~ReplicaDirectory() { *self_ = nullptr; }
+
 void ReplicaDirectory::watchCluster(const std::string& cluster) {
   watch(cluster, views_[cluster]);
 }
@@ -93,8 +95,10 @@ std::vector<std::string> ReplicaDirectory::knownDatasets() const {
 }
 
 void ReplicaDirectory::attachTelemetry(telemetry::MetricsRegistry& registry) {
-  registry.registerCollector([this, &registry] {
-    const telemetry::ScrapeCounters& counters = this->counters();
+  registry.registerCollector([self = self_, &registry] {
+    const ReplicaDirectory* directory = *self;
+    if (directory == nullptr) return;
+    const telemetry::ScrapeCounters& counters = directory->counters();
     registry.counter("lidc_replica_directory_scrapes_total")
         .set(static_cast<double>(counters.scrapesStarted));
     registry.counter("lidc_replica_directory_scrape_failures_total")
@@ -104,8 +108,8 @@ void ReplicaDirectory::attachTelemetry(telemetry::MetricsRegistry& registry) {
     registry.counter("lidc_replica_directory_snapshots_fetched_total")
         .set(static_cast<double>(counters.snapshotsFetched));
     double stale = 0.0;
-    for (const auto& cluster : watchedClusters()) {
-      if (isStale(cluster)) stale += 1.0;
+    for (const auto& cluster : directory->watchedClusters()) {
+      if (directory->isStale(cluster)) stale += 1.0;
     }
     registry.gauge("lidc_replica_directory_stale_clusters").set(stale);
   });

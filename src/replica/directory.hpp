@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,8 @@ class ReplicaDirectory : public telemetry::SnapshotScraper {
   };
 
   explicit ReplicaDirectory(ndn::Forwarder& forwarder);
+  /// Detaches the telemetry collector from this directory.
+  ~ReplicaDirectory() override;
 
   void watchCluster(const std::string& cluster);
 
@@ -45,7 +48,9 @@ class ReplicaDirectory : public telemetry::SnapshotScraper {
   /// Union of all dataset URIs across non-stale views, sorted.
   [[nodiscard]] std::vector<std::string> knownDatasets() const;
 
-  /// Mirrors lidc_replica_directory_* counters into `registry`.
+  /// Mirrors lidc_replica_directory_* counters into `registry`. The
+  /// collector holds a token the destructor clears, not the directory, so
+  /// it may outlive the directory; the series then keep their last values.
   void attachTelemetry(telemetry::MetricsRegistry& registry);
 
  private:
@@ -56,6 +61,9 @@ class ReplicaDirectory : public telemetry::SnapshotScraper {
                                                const std::string& uri) const;
 
   std::map<std::string, ClusterMap> views_;
+  /// This directory while it lives; the collector's liveness token.
+  std::shared_ptr<const ReplicaDirectory*> self_ =
+      std::make_shared<const ReplicaDirectory*>(this);
 };
 
 /// Parses one catalog snapshot ("dataset=...;bytes=...;version=...;

@@ -24,6 +24,8 @@ TransferScheduler::TransferScheduler(ndn::Forwarder& forwarder,
   retriever_ = std::make_unique<datalake::Retriever>(*face_, options_.retrieve);
 }
 
+TransferScheduler::~TransferScheduler() { *self_ = nullptr; }
+
 void TransferScheduler::trace(const std::string& line) {
   char stamp[32];
   std::snprintf(stamp, sizeof(stamp), "t=%.6fs ",
@@ -238,15 +240,17 @@ void TransferScheduler::settle(const std::shared_ptr<Entry>& entry,
 
 void TransferScheduler::attachTelemetry(telemetry::MetricsRegistry& registry) {
   const telemetry::Labels labels{{"cluster", cluster_name_}};
-  registry.registerCollector([this, &registry, labels] {
+  registry.registerCollector([self = self_, &registry, labels] {
+    const TransferScheduler* scheduler = *self;
+    if (scheduler == nullptr) return;
     registry.counter("lidc_replica_staged_total", labels)
-        .set(static_cast<double>(staged_));
+        .set(static_cast<double>(scheduler->staged_));
     registry.counter("lidc_replica_bytes_moved_total", labels)
-        .set(static_cast<double>(bytes_moved_));
+        .set(static_cast<double>(scheduler->bytes_moved_));
     registry.counter("lidc_replica_capacity_rejected_total", labels)
-        .set(static_cast<double>(capacity_rejects_));
+        .set(static_cast<double>(scheduler->capacity_rejects_));
     registry.counter("lidc_replica_stage_failures_total", labels)
-        .set(static_cast<double>(failures_));
+        .set(static_cast<double>(scheduler->failures_));
   });
 }
 

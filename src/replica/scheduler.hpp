@@ -72,6 +72,10 @@ class TransferScheduler {
   TransferScheduler(ndn::Forwarder& forwarder, datalake::ObjectStore& store,
                     std::string clusterName, TransferOptions options = {},
                     ReplicaCatalog* catalog = nullptr);
+  /// Detaches the telemetry collector from this scheduler.
+  ~TransferScheduler();
+  TransferScheduler(const TransferScheduler&) = delete;
+  TransferScheduler& operator=(const TransferScheduler&) = delete;
 
   void enqueue(const ndn::Name& dataset, Request request = {},
                DoneCallback done = nullptr);
@@ -104,7 +108,9 @@ class TransferScheduler {
 
   /// Mirrors lidc_replica_staged_total / lidc_replica_bytes_moved_total
   /// / lidc_replica_capacity_rejected_total (labeled by cluster) into
-  /// `registry`.
+  /// `registry`. The collector holds a token the destructor clears, not
+  /// the scheduler, so it may outlive the scheduler; the series then keep
+  /// their last values.
   void attachTelemetry(telemetry::MetricsRegistry& registry);
   void setFlightRecorder(telemetry::FlightRecorder* recorder) noexcept {
     recorder_ = recorder;
@@ -161,6 +167,9 @@ class TransferScheduler {
   std::uint64_t capacity_rejects_ = 0;
   std::uint64_t failures_ = 0;
   std::string log_;
+  /// This scheduler while it lives; the collector's liveness token.
+  std::shared_ptr<const TransferScheduler*> self_ =
+      std::make_shared<const TransferScheduler*>(this);
 };
 
 }  // namespace lidc::replica

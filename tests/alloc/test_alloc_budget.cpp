@@ -2,7 +2,9 @@
 // seeding index. This binary replaces the global operator new with one
 // that counts, and asserts exact steady-state counts: a simulator event
 // with a small capture, the wire size of a packet, a copy of a Name of
-// short components, a k-mer index build and a k-mer lookup.
+// short components, a k-mer index build and a k-mer lookup, an aligner
+// over a reference whose database is already resident; and the resident
+// size of a seed index.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -15,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "genomics/aligner.hpp"
 #include "genomics/kmer_index.hpp"
 #include "genomics/sequence.hpp"
 #include "ndn/packet.hpp"
@@ -137,9 +140,33 @@ TEST(AllocBudgetTest, KmerIndexBuildAllocationsDoNotGrowWithTheReference) {
       allocationsDuring([&] { genomics::KmerIndex index(small, 11); });
   const std::size_t largeBuild =
       allocationsDuring([&] { genomics::KmerIndex index(large, 11); });
-  // The slot array and the positions array.
+  // The slot array and the positions array; at k = 11 keys have no high
+  // half to keep.
   EXPECT_EQ(smallBuild, 2u);
   EXPECT_EQ(largeBuild, smallBuild);
+}
+
+TEST(AllocBudgetTest, KmerIndexKeepsAtMost24BytesPerReferenceWindow) {
+  Rng rng(11);
+  const std::string reference = genomics::randomBases(rng, 60'000);
+  const genomics::KmerIndex index(reference, 11);
+  const std::size_t windows = reference.size() - 11 + 1;
+  EXPECT_LE(index.residentBytes(), 24 * windows);
+}
+
+TEST(AllocBudgetTest, AlignerOverAResidentReferenceAllocatesTheSameAtAnySize) {
+  Rng rng(12);
+  const std::string small = genomics::randomBases(rng, 20'000);
+  const std::string large = genomics::randomBases(rng, 200'000);
+  const genomics::MiniBlastAligner smallHolder(small);
+  const genomics::MiniBlastAligner largeHolder(large);
+  const std::size_t smallLookup =
+      allocationsDuring([&] { const genomics::MiniBlastAligner aligner(small); });
+  const std::size_t largeLookup =
+      allocationsDuring([&] { const genomics::MiniBlastAligner aligner(large); });
+  // The copy of the reference handed to the constructor; no index build.
+  EXPECT_EQ(smallLookup, 1u);
+  EXPECT_EQ(largeLookup, smallLookup);
 }
 
 TEST(AllocBudgetTest, KmerLookupAllocatesNothing) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "genomics/aligner.hpp"
 #include "genomics/fasta.hpp"
 #include "k8s/cluster.hpp"
@@ -127,6 +129,25 @@ TEST_F(MagicBlastAppTest, OutputSizeShapeMatchesTableOne) {
   // Absolute scale: hundreds of MB to a few GB.
   EXPECT_GT(rice.outputBytes, 100'000'000u);
   EXPECT_LT(rice.outputBytes, 4'000'000'000u);
+}
+
+TEST_F(MagicBlastAppTest, RunsOnOneClusterShareOneReferenceDatabase) {
+  const std::uint64_t before = ReferenceDb::builds();
+  ASSERT_TRUE(run("SRR2931415", 2, 4).status.ok());
+  ASSERT_TRUE(run("SRR2931415", 4, 8).status.ok());
+  EXPECT_EQ(ReferenceDb::builds() - before, 1u);
+
+  // The runner keeps it resident: an aligner over the same reference
+  // finds it, and it lives on after that aligner until the runner goes.
+  std::weak_ptr<const ReferenceDb> weak;
+  {
+    const MiniBlastAligner aligner(catalog_.generateReference().bases);
+    EXPECT_EQ(ReferenceDb::builds() - before, 1u);
+    weak = aligner.db();
+  }
+  EXPECT_FALSE(weak.expired());
+  runner_ = nullptr;
+  EXPECT_TRUE(weak.expired());
 }
 
 TEST_F(MagicBlastAppTest, CheckpointPayloadsMatchADirectComputation) {

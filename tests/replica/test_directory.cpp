@@ -2,7 +2,8 @@
 // view, manifest reuse when nothing changed, staleness aging instead of
 // wedging on a blacked-out cluster, periodic scraping, and the snapshot
 // parser's tolerance of malformed lines, and a repair loop destroyed
-// mid-run (its timer and its telemetry collector).
+// mid-run (its timer and its telemetry collector), and a directory
+// destroyed before its metrics registry.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -207,6 +208,22 @@ TEST_F(ReplicaDirectoryTest, TelemetryMirrorsCounters) {
   EXPECT_EQ(metrics.at("lidc_replica_directory_scrapes_total"), 2.0);
   EXPECT_EQ(metrics.at("lidc_replica_directory_snapshots_fetched_total"), 2.0);
   EXPECT_EQ(metrics.at("lidc_replica_directory_stale_clusters"), 0.0);
+}
+
+TEST_F(ReplicaDirectoryTest, DirectoryDestroyedLeavesNoCollectorOnItBehind) {
+  eastCatalog_->markReady(kDatasetA, 100);
+  telemetry::MetricsRegistry registry;
+  directory_->attachTelemetry(registry);
+  scrape();
+  const auto last = registry.flatten("lidc_replica_directory");
+  directory_.reset();
+
+  // The registry outlives the directory; collecting must not read the
+  // destroyed directory, and the series keep their last values.
+  EXPECT_EQ(registry.flatten("lidc_replica_directory"), last);
+  EXPECT_EQ(last.at("lidc_replica_directory_scrapes_total"), 2.0);
+  sim_.run();
+  EXPECT_TRUE(sim_.empty());
 }
 
 TEST(ParseReplicaMapTest, SkipsMalformedLines) {

@@ -2,7 +2,8 @@
 // a level, join-dedup of concurrent requests, cancellation of queued
 // and in-flight transfers, capacity rejection surfaced as
 // ResourceExhausted, tenant attribution through the store's quota
-// charger, and the bandwidth budget serializing starts.
+// charger, the bandwidth budget serializing starts, and a scheduler
+// destroyed before its metrics registry.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -15,6 +16,7 @@
 #include "k8s/pvc.hpp"
 #include "net/topology.hpp"
 #include "replica/scheduler.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace lidc::replica {
 namespace {
@@ -353,6 +355,28 @@ TEST_F(TransferSchedulerTest, UnreachableDatasetFailsLoudly) {
   EXPECT_EQ(scheduler_->failures(), 1u);
   EXPECT_NE(scheduler_->eventLog().find("fail /ndn/k8s/data/ghost"),
             std::string::npos);
+}
+
+TEST_F(TransferSchedulerTest, SchedulerDestroyedLeavesNoCollectorOnItBehind) {
+  makeScheduler();
+  telemetry::MetricsRegistry registry;
+  scheduler_->attachTelemetry(registry);
+  scheduler_->enqueue(ndn::Name("/ndn/k8s/data/a"));
+  sim_.run();
+  const auto last = registry.flatten("lidc_replica_");
+  scheduler_.reset();
+
+  // The registry outlives the scheduler; collecting must not read the
+  // destroyed scheduler, and the series keep their last values.
+  EXPECT_EQ(registry.flatten("lidc_replica_"), last);
+  ASSERT_EQ(last.size(), 4u);
+  for (const auto& [series, value] : last) {
+    if (series.starts_with("lidc_replica_staged_total")) {
+      EXPECT_EQ(value, 1.0);
+    } else if (series.starts_with("lidc_replica_bytes_moved_total")) {
+      EXPECT_EQ(value, 2048.0);
+    }
+  }
 }
 
 }  // namespace
