@@ -1,11 +1,14 @@
-// Google-benchmark glue for the JsonReport machinery: a ConsoleReporter
-// that also records each run's per-iteration real time (and throughput
-// counters, when present) so gbench binaries emit the same
-// BENCH_<name>.json files as the scenario benches.
+// Google-benchmark glue for the JsonReport machinery: a reporter that
+// prints through the display reporter --benchmark_format selects and
+// also records each run's per-iteration real time and every counter it
+// carries (user counters such as bytes_per_window, and the
+// bytes_per_second / items_per_second rates), so gbench binaries emit
+// the same BENCH_<name>.json files as the scenario benches.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,9 +16,15 @@
 
 namespace lidc::bench {
 
-class JsonCaptureReporter : public benchmark::ConsoleReporter {
+class JsonCaptureReporter : public benchmark::BenchmarkReporter {
  public:
-  explicit JsonCaptureReporter(std::string name) : report_(std::move(name)) {}
+  /// Call after benchmark::Initialize(), which parses --benchmark_format.
+  explicit JsonCaptureReporter(std::string name)
+      : report_(std::move(name)), display_(benchmark::CreateDefaultDisplayReporter()) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
@@ -28,18 +37,21 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
                                ? static_cast<double>(run.iterations)
                                : 1.0;
       report_.add(key + "_real_ns", run.real_accumulated_time * 1e9 / iters);
-      const auto items = run.counters.find("items_per_second");
-      if (items != run.counters.end()) {
-        report_.add(key + "_items_per_s", items->second.value);
+      // Rates arrive here already divided by time, like user counters.
+      for (const auto& [counter, value] : run.counters) {
+        report_.add(key + "_" + counter, value.value);
       }
     }
-    ConsoleReporter::ReportRuns(runs);
+    display_->ReportRuns(runs);
   }
+
+  void Finalize() override { display_->Finalize(); }
 
   void write() const { report_.write(); }
 
  private:
   JsonReport report_;
+  std::unique_ptr<benchmark::BenchmarkReporter> display_;
 };
 
 /// Drop-in replacement for BENCHMARK_MAIN() that writes

@@ -100,7 +100,8 @@ class JsonReport {
     const std::string json = toJson();
     std::fwrite(json.data(), 1, json.size(), file);
     std::fclose(file);
-    std::printf("wrote %s\n", path.c_str());
+    // On stderr: stdout carries the report in the format asked for.
+    std::fprintf(stderr, "wrote %s\n", path.c_str());
   }
 
  private:

@@ -484,9 +484,12 @@ void LidcClient::queryStatus(const ndn::Name& statusName, StatusCallback done,
   interest.setMustBeFresh(true);  // never accept a stale cached state
   interest.setLifetime(options_.interestLifetime);
 
+  // One callback shared by the three handlers, exactly one of which fires.
+  auto shared = std::make_shared<StatusCallback>(std::move(done));
   face_->expressInterest(
       interest,
-      [done](const ndn::Interest&, const ndn::Data& data) {
+      [shared](const ndn::Interest&, const ndn::Data& data) {
+        const StatusCallback& done = *shared;
         const KvMap fields = decodeKv(data.contentAsString());
         JobStatusSnapshot snapshot;
         if (auto it = fields.find("error");
@@ -524,28 +527,30 @@ void LidcClient::queryStatus(const ndn::Name& statusName, StatusCallback done,
         }
         done(std::move(snapshot));
       },
-      [done](const ndn::Interest&, const ndn::Nack& nack) {
-        done(Status::Unavailable("status query nacked: " +
-                                 std::string(ndn::nackReasonName(nack.reason()))));
+      [shared](const ndn::Interest&, const ndn::Nack& nack) {
+        (*shared)(Status::Unavailable("status query nacked: " +
+                                      std::string(ndn::nackReasonName(nack.reason()))));
       },
-      [done](const ndn::Interest& i) {
-        done(Status::Timeout("status query timed out: " + i.name().toUri()));
+      [shared](const ndn::Interest& i) {
+        (*shared)(Status::Timeout("status query timed out: " + i.name().toUri()));
       });
 }
 
 void LidcClient::waitForCompletion(const ndn::Name& statusName, StatusCallback done,
                                    telemetry::TraceContext parent) {
   const sim::Time now = forwarder_.simulator().now();
-  pollLoop(statusName, 0, deadlineFor(now), now, std::move(done), parent);
+  pollLoop(std::make_shared<const PollState>(
+               PollState{statusName, deadlineFor(now), std::move(done), parent}),
+           0, now);
 }
 
-void LidcClient::pollLoop(const ndn::Name& statusName, int consecutiveFailures,
-                          sim::Time deadlineAt, sim::Time progressSince,
-                          StatusCallback done, telemetry::TraceContext parent) {
+void LidcClient::pollLoop(std::shared_ptr<const PollState> poll,
+                          int consecutiveFailures, sim::Time progressSince) {
+  const PollState& state = *poll;
   queryStatus(
-      statusName,
-      [this, statusName, consecutiveFailures, deadlineAt, progressSince, done,
-       parent](Result<JobStatusSnapshot> result) {
+      state.statusName,
+      [this, poll = std::move(poll), consecutiveFailures,
+       progressSince](Result<JobStatusSnapshot> result) {
     const sim::Time now = forwarder_.simulator().now();
     if (!result.ok()) {
       // Timeouts on a lossy path and Nacks (transient kNoRoute/
@@ -556,21 +561,19 @@ void LidcClient::pollLoop(const ndn::Name& statusName, int consecutiveFailures,
       const bool transient =
           code == StatusCode::kTimeout || code == StatusCode::kUnavailable;
       if (transient && consecutiveFailures + 1 < options_.maxStatusPollFailures &&
-          now + options_.statusPollInterval <= deadlineAt) {
+          now + options_.statusPollInterval <= poll->deadlineAt) {
         forwarder_.simulator().scheduleAfter(
-            options_.statusPollInterval, [this, statusName, consecutiveFailures,
-                                          deadlineAt, progressSince, done, parent] {
-              pollLoop(statusName, consecutiveFailures + 1, deadlineAt,
-                       progressSince, done, parent);
+            options_.statusPollInterval, [this, poll, consecutiveFailures, progressSince] {
+              pollLoop(poll, consecutiveFailures + 1, progressSince);
             });
         return;
       }
-      done(std::move(result));
+      poll->done(std::move(result));
       return;
     }
     if (result->state == k8s::JobState::kCompleted ||
         result->state == k8s::JobState::kFailed) {
-      done(std::move(result));
+      poll->done(std::move(result));
       return;
     }
     // Progress watchdog: a healthy cluster moves a job to Running
@@ -587,8 +590,8 @@ void LidcClient::pollLoop(const ndn::Name& statusName, int consecutiveFailures,
           if (telemetry_) telemetry_->watchdogTimeouts->inc();
           LIDC_FR_EVENT(recorder_, kWarn, "client",
                         name_ + " watchdog: no progress on " +
-                            statusName.toUri());
-          done(Status::Unavailable(
+                            poll->statusName.toUri());
+          poll->done(Status::Unavailable(
               "progress watchdog: job still Pending after " +
               std::to_string(options_.pendingProgressTtl.toMillis()) + "ms"));
           return;
@@ -597,18 +600,16 @@ void LidcClient::pollLoop(const ndn::Name& statusName, int consecutiveFailures,
         nextProgress = now;  // Running counts as progress
       }
     }
-    if (now + options_.statusPollInterval > deadlineAt) {
-      done(Status::Timeout("deadline exceeded while job still " +
-                           std::string(k8s::jobStateName(result->state))));
+    if (now + options_.statusPollInterval > poll->deadlineAt) {
+      poll->done(Status::Timeout("deadline exceeded while job still " +
+                                 std::string(k8s::jobStateName(result->state))));
       return;
     }
     forwarder_.simulator().scheduleAfter(
         options_.statusPollInterval,
-        [this, statusName, deadlineAt, nextProgress, done, parent] {
-          pollLoop(statusName, 0, deadlineAt, nextProgress, done, parent);
-        });
+        [this, poll, nextProgress] { pollLoop(poll, 0, nextProgress); });
       },
-      parent);
+      state.parent);
 }
 
 void LidcClient::runToCompletion(ComputeRequest request, OutcomeCallback done,
@@ -711,7 +712,7 @@ void LidcClient::runAttempt(std::shared_ptr<ComputeRequest> request, int failove
   submitAttempt(
       std::move(shared), 0, startedAt, deadlineAt,
       [this, request, failover, startedAt, deadlineAt, done,
-       root](Result<SubmitResult> submitted) {
+       root](Result<SubmitResult> submitted) mutable {
         if (!submitted.ok()) {
           if (submitted.status().code() == StatusCode::kResourceExhausted) {
             // The tenant's quota is exhausted federation-wide; a fresh
@@ -782,59 +783,60 @@ void LidcClient::runAttempt(std::shared_ptr<ComputeRequest> request, int failove
             return;
           }
         }
-        const SubmitResult submitCopy = *submitted;
         telemetry::TraceContext await;
         if (tracer != nullptr) {
           await = tracer->startSpan("await-completion", "client:" + name_, root,
-                                    {{"job_id", submitCopy.jobId}});
+                                    {{"job_id", submitted->jobId}});
         }
-        const sim::Time pollStart = forwarder_.simulator().now();
-        pollLoop(
-            ndn::Name(submitCopy.statusName), 0, deadlineAt, pollStart,
-            [this, request, failover, startedAt, deadlineAt, submitCopy, done,
-             root, await, tracer](Result<JobStatusSnapshot> status) {
-              if (tracer != nullptr && await) {
-                tracer->setAttr(await, "outcome",
-                                status.ok()
-                                    ? std::string(k8s::jobStateName(status->state))
-                                    : status.status().toString());
-                tracer->endSpan(await);
-              }
-              const sim::Time now = forwarder_.simulator().now();
-              if (!status.ok()) {
-                // Status endpoint dark past the poll budget, the
-                // progress watchdog fired, or the job vanished (reaped
-                // after its cluster died): count the failure against
-                // the cluster's breaker and resubmit.
-                if (CircuitBreaker* b = breakerFor(submitCopy.cluster)) {
-                  b->recordFailure(now);
-                }
-                failoverOrGiveUp(request, failover, startedAt, deadlineAt,
-                                 done, status.status(), std::nullopt, root);
-                return;
-              }
-              JobOutcome outcome;
-              outcome.submit = submitCopy;
-              outcome.finalStatus = *status;
-              outcome.totalLatency = forwarder_.simulator().now() - startedAt;
-              outcome.failovers = failover;
-              if (status->state == k8s::JobState::kFailed) {
-                if (CircuitBreaker* b = breakerFor(submitCopy.cluster)) {
-                  b->recordFailure(now);
-                }
-                failoverOrGiveUp(request, failover, startedAt, deadlineAt,
-                                 done,
-                                 Status::Unavailable("job failed: " +
-                                                     status->error),
-                                 std::move(outcome), root);
-                return;
-              }
-              if (CircuitBreaker* b = breakerFor(submitCopy.cluster)) {
-                b->recordSuccess(now);
-              }
-              done(std::move(outcome));
-            },
-            await ? await : root);
+        ndn::Name statusName(submitted->statusName);
+        auto onStatus = [this, request, failover, startedAt, deadlineAt,
+                         submitCopy = std::move(*submitted), done = std::move(done),
+                         root, await, tracer](Result<JobStatusSnapshot> status) {
+          if (tracer != nullptr && await) {
+            tracer->setAttr(await, "outcome",
+                            status.ok()
+                                ? std::string(k8s::jobStateName(status->state))
+                                : status.status().toString());
+            tracer->endSpan(await);
+          }
+          const sim::Time now = forwarder_.simulator().now();
+          if (!status.ok()) {
+            // Status endpoint dark past the poll budget, the
+            // progress watchdog fired, or the job vanished (reaped
+            // after its cluster died): count the failure against
+            // the cluster's breaker and resubmit.
+            if (CircuitBreaker* b = breakerFor(submitCopy.cluster)) {
+              b->recordFailure(now);
+            }
+            failoverOrGiveUp(request, failover, startedAt, deadlineAt,
+                             done, status.status(), std::nullopt, root);
+            return;
+          }
+          JobOutcome outcome;
+          outcome.submit = submitCopy;
+          outcome.finalStatus = *status;
+          outcome.totalLatency = forwarder_.simulator().now() - startedAt;
+          outcome.failovers = failover;
+          if (status->state == k8s::JobState::kFailed) {
+            if (CircuitBreaker* b = breakerFor(submitCopy.cluster)) {
+              b->recordFailure(now);
+            }
+            failoverOrGiveUp(request, failover, startedAt, deadlineAt,
+                             done,
+                             Status::Unavailable("job failed: " +
+                                                 status->error),
+                             std::move(outcome), root);
+            return;
+          }
+          if (CircuitBreaker* b = breakerFor(submitCopy.cluster)) {
+            b->recordSuccess(now);
+          }
+          done(std::move(outcome));
+        };
+        pollLoop(std::make_shared<const PollState>(
+                     PollState{std::move(statusName), deadlineAt, std::move(onStatus),
+                               await ? await : root}),
+                 0, forwarder_.simulator().now());
       },
       root);
 }

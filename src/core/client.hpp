@@ -276,12 +276,19 @@ class LidcClient {
                      SubmitCallback done, Status why,
                      telemetry::TraceContext parent);
   [[nodiscard]] sim::Duration backoffDelay(int attempt);
+  /// What stays fixed over one waitForCompletion(): built once per wait
+  /// and shared by every poll and re-arm, so a poll copies no callback.
+  struct PollState {
+    ndn::Name statusName;
+    sim::Time deadlineAt;
+    StatusCallback done;
+    telemetry::TraceContext parent;
+  };
   /// `progressSince` anchors the Pending watchdog: it is the last time
   /// the job was observed making progress (poll start, or any
   /// non-Pending state).
-  void pollLoop(const ndn::Name& statusName, int consecutiveFailures,
-                sim::Time deadlineAt, sim::Time progressSince,
-                StatusCallback done, telemetry::TraceContext parent);
+  void pollLoop(std::shared_ptr<const PollState> poll, int consecutiveFailures,
+                sim::Time progressSince);
   /// One submit+poll attempt of the runToCompletion() failover loop.
   void runAttempt(std::shared_ptr<ComputeRequest> request, int failover,
                   sim::Time startedAt, sim::Time deadlineAt,

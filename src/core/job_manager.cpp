@@ -70,6 +70,14 @@ Result<std::string> JobManager::submit(const ComputeRequest& request,
   return jobId;
 }
 
+void JobManager::forget(const std::string& jobId) {
+  auto it = job_namespaces_.find(jobId);
+  if (it == job_namespaces_.end()) return;
+  // Refused (FailedPrecondition) unless the job has finished.
+  (void)cluster_.deleteJob(it->second, jobId);
+  job_namespaces_.erase(it);
+}
+
 Result<JobStatusInfo> JobManager::status(const std::string& jobId) const {
   auto it = job_namespaces_.find(jobId);
   if (it == job_namespaces_.end()) {

@@ -49,9 +49,12 @@ class JobManager {
   [[nodiscard]] Result<JobStatusInfo> status(const std::string& jobId) const;
 
   /// Drops all bookkeeping for a job id: subsequent status() queries
-  /// return NotFound. Used by the gateway's orphan reaper to retire jobs
-  /// stuck non-terminal past their TTL.
-  void forget(const std::string& jobId) { job_namespaces_.erase(jobId); }
+  /// return NotFound. Used by the gateway's status GC after
+  /// statusRetention and by its orphan reaper to retire jobs stuck
+  /// non-terminal past their TTL. A finished (Completed or Failed) k8s
+  /// Job goes with its status entry (TTL-after-finished, driven by the
+  /// retention); a Pending or Running one is never deleted.
+  void forget(const std::string& jobId);
 
   [[nodiscard]] const std::string& namespaceName() const noexcept {
     return namespace_;

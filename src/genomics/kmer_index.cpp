@@ -1,7 +1,6 @@
 #include "genomics/kmer_index.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 
 #include "genomics/sequence.hpp"
@@ -36,17 +35,20 @@ void forEachWindow(std::string_view bases, unsigned k, Visit&& visit) {
 }  // namespace
 
 std::size_t KmerIndex::probe(std::uint64_t key) const noexcept {
-  const std::size_t mask = slots_.size() - 2;  // the table, sentinel aside, is 2^n
-  // Fibonacci hashing: the top bits of key * 2^64/phi pick the home slot.
-  std::size_t i = static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+  const std::size_t table = slots_.size() - 1;  // the sentinel aside
+  // Multiply-shift range reduction of a Fibonacci hash: the top 32 bits
+  // of key * 2^64/phi, scaled to the table, pick the home slot.
+  const std::uint64_t top = (key * 0x9e3779b97f4a7c15ULL) >> 32;
+  std::size_t i = static_cast<std::size_t>((top * table) >> 32);
+  auto next = [table](std::size_t slot) { return slot + 1 == table ? 0 : slot + 1; };
   const auto low = static_cast<std::uint32_t>(key);
   if (high_.empty()) {
-    while (slots_[i].key != low && slots_[i].key != kEmpty) i = (i + 1) & mask;
+    while (slots_[i].key != low && slots_[i].key != kEmpty) i = next(i);
     return i;
   }
   const auto high = static_cast<std::uint32_t>(key >> 32);
   while (!(slots_[i].key == low && high_[i] == high) && high_[i] != kEmpty) {
-    i = (i + 1) & mask;
+    i = next(i);
   }
   return i;
 }
@@ -69,9 +71,10 @@ KmerIndex::KmerIndex(std::string_view reference, unsigned k,
     : k_(k) {
   assert(k >= 4 && k <= 31);
   const std::size_t windows = reference.size() >= k ? reference.size() - k + 1 : 0;
-  // At least one slot always stays empty, so every probe terminates.
-  const std::size_t capacity = std::bit_ceil(std::max<std::size_t>(2 * windows, 2));
-  shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+  // Twice the windows: at least one slot always stays empty, so every
+  // probe terminates. Positions are 32-bit, so the table size is too.
+  const std::size_t capacity = std::max<std::size_t>(2 * windows, 2);
+  assert(capacity <= (std::uint64_t{1} << 32));
   slots_.assign(capacity + 1, Slot{kEmpty, 0});
   if (2 * k > 30) high_.assign(capacity, kEmpty);
 

@@ -3,9 +3,11 @@
 // High-frequency k-mers (repeats) are masked out, as real aligners do.
 //
 // The index is two flat arrays: an open-addressing table of 8-byte
-// {key, begin} slots (linear probing, a power of two at least twice the
-// number of reference windows) and one positions array in which each
-// k-mer's reference positions lie contiguously, ascending (CSR layout).
+// {key, begin} slots (linear probing, twice as many as the reference
+// has windows, the home slot picked by multiply-shift range reduction,
+// so the resident size tracks the reference length) and one positions
+// array in which each k-mer's reference positions lie contiguously,
+// ascending (CSR layout).
 // Ranges are laid out in slot order, so a k-mer's range ends where the
 // next slot's begins; one sentinel slot past the table closes the last.
 // A slot holds the key's low 32 bits; when 2k > 30 the high 32 bits live
@@ -63,7 +65,6 @@ class KmerIndex {
   }
 
   unsigned k_;
-  unsigned shift_ = 63;  // 64 - log2(table size)
   std::size_t distinct_ = 0;
   std::size_t masked_ = 0;
   std::vector<Slot> slots_;          // the table plus the sentinel

@@ -8,7 +8,9 @@
 namespace lidc::k8s {
 
 namespace {
-constexpr std::size_t kMaxEvents = 4096;
+// The event log is a window for observability, not a history: the last
+// 1,024 events per cluster cover about 250 job lifecycles.
+constexpr std::size_t kMaxEvents = 1024;
 }  // namespace
 
 Cluster::Cluster(std::string name, sim::Simulator& sim, std::uint64_t seed)
@@ -403,17 +405,18 @@ Result<Job*> Cluster::createJob(const std::string& ns, const std::string& jobNam
                             name_);
   }
 
-  auto job = std::make_unique<Job>(jobName, ns, spec);
+  auto job = std::make_unique<Job>(jobName, ns, std::move(spec));
   job->mutableStatus().submitTime = sim_.now();
   Job* raw = job.get();
   jobs_.emplace(k, std::move(job));
 
+  // The app runner reads the arguments from the Job's spec, so its pods
+  // keep no copy of them.
   PodSpec podSpec;
-  podSpec.image = spec.app;
-  podSpec.requests = spec.requests;
-  podSpec.labels = {{"job-name", jobName}, {"app", spec.app}};
-  podSpec.args = spec.args;
-  podSpec.priorityClass = spec.priorityClass;
+  podSpec.image = raw->spec().app;
+  podSpec.requests = raw->spec().requests;
+  podSpec.labels = {{"job-name", jobName}, {"app", raw->spec().app}};
+  podSpec.priorityClass = raw->spec().priorityClass;
   const std::string podName = jobName + "-pod-0";
   setJobPod(*raw, podName);
   auto pod = createPod(ns, podName, std::move(podSpec));
@@ -422,7 +425,7 @@ Result<Job*> Cluster::createJob(const std::string& ns, const std::string& jobNam
     jobs_.erase(k);
     return pod.status();
   }
-  recordEvent("JobCreated", k, "app=" + spec.app);
+  recordEvent("JobCreated", k, "app=" + raw->spec().app);
   return raw;
 }
 
@@ -434,6 +437,23 @@ Job* Cluster::job(const std::string& ns, const std::string& jobName) {
 const Job* Cluster::job(const std::string& ns, const std::string& jobName) const {
   auto it = jobs_.find(key(ns, jobName));
   return it == jobs_.end() ? nullptr : it->second.get();
+}
+
+Status Cluster::deleteJob(const std::string& ns, const std::string& jobName) {
+  const std::string k = key(ns, jobName);
+  auto it = jobs_.find(k);
+  if (it == jobs_.end()) return Status::NotFound("job " + k);
+  const Job& job = *it->second;
+  const JobState state = job.status().state;
+  if (state != JobState::kCompleted && state != JobState::kFailed) {
+    return Status::FailedPrecondition("job " + k + " has not finished");
+  }
+  // Attempt n ran in pod <job>-pod-<n>; all are unbound by now.
+  for (int attempt = 0; attempt <= job.status().attempts; ++attempt) {
+    pods_.erase(key(ns, jobName + "-pod-" + std::to_string(attempt)));
+  }
+  jobs_.erase(it);
+  return Status::Ok();
 }
 
 std::vector<Job*> Cluster::jobsInNamespace(const std::string& ns) {
@@ -509,7 +529,6 @@ void Cluster::finishJob(Job& job, Pod& pod, const AppResult& result) {
       podSpec.image = job.spec().app;
       podSpec.requests = job.spec().requests;
       podSpec.labels = {{"job-name", job.name()}, {"app", job.spec().app}};
-      podSpec.args = job.spec().args;
       const std::string podName =
           job.name() + "-pod-" + std::to_string(status.attempts);
       setJobPod(job, podName);
@@ -525,15 +544,17 @@ void Cluster::finishJob(Job& job, Pod& pod, const AppResult& result) {
     recordEvent("JobFailed", key(job.namespaceName(), job.name()), status.message);
   }
 
+  // Only a Pending or Running job answers for its pod (jobOfPod).
+  job_by_pod_.erase(key(job.namespaceName(), job.podName()));
   releasePod(pod);
   retryUnschedulable();
   for (const auto& watcher : job_watchers_) watcher(job);
 }
 
-void Cluster::recordEvent(std::string kind, std::string object, std::string message) {
+void Cluster::recordEvent(std::string_view kind, std::string object,
+                          std::string message) {
   LIDC_LOG(kDebug, "k8s") << name_ << " " << kind << " " << object << " " << message;
-  events_.push_back(Event{sim_.now(), std::move(kind), std::move(object),
-                          std::move(message)});
+  events_.push_back(Event{sim_.now(), kind, std::move(object), std::move(message)});
   while (events_.size() > kMaxEvents) events_.pop_front();
 }
 

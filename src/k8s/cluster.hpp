@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -32,8 +33,8 @@ namespace lidc::k8s {
 /// One control-plane event (for observability and tests).
 struct Event {
   sim::Time time;
-  std::string kind;     // "PodScheduled", "JobCompleted", ...
-  std::string object;   // "ns/name"
+  std::string_view kind;  // a literal: "PodScheduled", "JobCompleted", ...
+  std::string object;     // "ns/name"
   std::string message;
 };
 
@@ -124,6 +125,11 @@ class Cluster {
   [[nodiscard]] const Job* job(const std::string& ns,
                                const std::string& jobName) const;
   [[nodiscard]] std::vector<Job*> jobsInNamespace(const std::string& ns);
+  /// Deletes a finished (Completed or Failed) Job with its pods, as
+  /// Kubernetes' TTL-after-finished controller does. Their resources
+  /// were released when the job finished, so nothing else changes. A
+  /// Pending or Running job is refused with FailedPrecondition.
+  Status deleteJob(const std::string& ns, const std::string& jobName);
   /// Fires when any job reaches Completed or Failed.
   void onJobFinished(std::function<void(const Job&)> callback) {
     job_watchers_.push_back(std::move(callback));
@@ -139,6 +145,7 @@ class Cluster {
   [[nodiscard]] std::size_t runningJobCount() const noexcept { return running_jobs_; }
 
   // --- events ---
+  /// The most recent events, oldest first (at most 1,024 are kept).
   [[nodiscard]] const std::deque<Event>& events() const noexcept { return events_; }
 
   [[nodiscard]] Scheduler& scheduler() noexcept { return scheduler_; }
@@ -148,7 +155,7 @@ class Cluster {
     return ns + "/" + name;
   }
 
-  void recordEvent(std::string kind, std::string object, std::string message);
+  void recordEvent(std::string_view kind, std::string object, std::string message);
   /// Attempts to bind the pod to a node; on success drives its lifecycle.
   bool trySchedulePod(Pod& pod);
   /// Called when resources free up: retries unschedulable pods in order.

@@ -13,7 +13,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <set>
+#include <vector>
 
 #include "ndn/packet.hpp"
 #include "sim/time.hpp"
@@ -23,26 +23,36 @@ namespace lidc::ndn {
 class ContentStore {
  public:
   explicit ContentStore(std::size_t capacity = 4096) : capacity_(capacity) {}
-  // The LRU list points into the index's nodes.
+  // Entries are raw blocks the store owns.
   ContentStore(const ContentStore&) = delete;
   ContentStore& operator=(const ContentStore&) = delete;
+  ~ContentStore() { clear(); }
 
   /// Inserts (or refreshes) a Data packet observed at time `now`.
   /// Poisoned packets (signed but failing verify()) are rejected and
-  /// counted while verification is enabled.
-  void insert(const Data& data, sim::Time now);
+  /// counted while verification is enabled. `nameHash` is
+  /// data.name().hash(), which the forwarder already has.
+  void insert(const Data& data, std::size_t nameHash, sim::Time now);
+  void insert(const Data& data, sim::Time now) {
+    insert(data, data.name().hash(), now);
+  }
 
   /// Looks up a match for the Interest. Exact-name match, or the
   /// lexicographically smallest name under the prefix when CanBePrefix.
   /// MustBeFresh requires now < arrival + freshnessPeriod. Entries whose
   /// digest matches the Interest's excludeDigest hint are skipped;
-  /// poisoned entries are evicted rather than served.
-  [[nodiscard]] std::optional<Data> find(const Interest& interest, sim::Time now);
+  /// poisoned entries are evicted rather than served. `nameHash` is
+  /// interest.name().hash(). A hit rebuilds the Data field for field.
+  [[nodiscard]] std::optional<Data> find(const Interest& interest,
+                                         std::size_t nameHash, sim::Time now);
+  [[nodiscard]] std::optional<Data> find(const Interest& interest, sim::Time now) {
+    return find(interest, interest.name().hash(), now);
+  }
 
   void erase(const Name& name);
   void clear();
 
-  [[nodiscard]] std::size_t size() const noexcept { return index_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   void setCapacity(std::size_t capacity);
 
@@ -66,47 +76,40 @@ class ContentStore {
   }
 
  private:
-  // Each entry is one node of the name-ordered index, which is what
-  // CanBePrefix lookups scan, and stores its name once, inside its Data.
-  // The LRU order is a doubly linked list threaded through those nodes,
-  // so an insert allocates one node.
-  struct Entry {
-    Entry(const Data& d, sim::Time t) : data(d), arrival(t) {}
-    // Mutable because the index orders by name alone: a refresh swaps in
-    // a Data of the same name, and the LRU links are not keys.
-    mutable Data data;
-    mutable sim::Time arrival;
-    mutable const Entry* newer = nullptr;
-    mutable const Entry* older = nullptr;
-  };
-  struct ByName {
-    using is_transparent = void;
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      return a.data.name() < b.data.name();
-    }
-    bool operator()(const Entry& a, const Name& b) const noexcept {
-      return a.data.name() < b;
-    }
-    bool operator()(const Name& a, const Entry& b) const noexcept {
-      return a < b.data.name();
-    }
-  };
-  using Index = std::set<Entry, ByName>;
+  // One heap block per entry: a fixed header (hash chain and LRU links,
+  // the Data's native fields) followed by the name's components and the
+  // content. Laid out in cs.cpp.
+  struct Entry;
 
+  [[nodiscard]] Entry* lookup(const Name& name, std::size_t hash) noexcept;
+  /// Links a new entry into its bucket, growing the table as needed.
+  void link(Entry* entry);
+  /// Unlinks `entry` from its bucket and the LRU list and frees it.
+  void erase(Entry* entry) noexcept;
+  [[nodiscard]] Entry*& bucket(std::size_t hash) noexcept;
+  void rehash(std::size_t buckets);
   /// Makes `entry` the most recently used.
-  void touch(const Entry& entry);
-  void pushFront(const Entry& entry);
-  void unlinkLru(const Entry& entry);
-  void erase(Index::iterator it);
-  void evictIfNeeded();
+  void touch(Entry* entry) noexcept;
+  void pushFront(Entry* entry) noexcept;
+  void unlinkLru(Entry* entry) noexcept;
+  void evictIfNeeded() noexcept;
 
   [[nodiscard]] bool isFreshEnough(const Entry& entry, const Interest& interest,
                                    sim::Time now) const noexcept;
+  /// Serve decision for a non-poisoned entry: fresh enough and not the
+  /// copy the Interest's excludeDigest hint names.
+  [[nodiscard]] bool usable(const Entry& entry, const Interest& interest,
+                            sim::Time now) const;
+  /// Counts a hit, refreshes the entry's recency, and rebuilds its Data.
+  [[nodiscard]] Data serve(Entry* entry);
+  [[nodiscard]] static Data rebuild(const Entry& entry);
 
   std::size_t capacity_;
-  Index index_;
-  const Entry* lru_head_ = nullptr;  // most recently used
-  const Entry* lru_tail_ = nullptr;  // next to evict
+  std::size_t size_ = 0;
+  std::vector<Entry*> buckets_;  // power-of-two sized chained hash table
+  int bucket_shift_ = 64;        // 64 - log2(buckets_.size())
+  Entry* lru_head_ = nullptr;    // most recently used
+  Entry* lru_tail_ = nullptr;    // next to evict
   bool verify_inserts_ = true;
   bool serve_stale_ = false;
   std::uint64_t hits_ = 0;

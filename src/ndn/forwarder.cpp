@@ -188,8 +188,9 @@ void Forwarder::onIncomingInterest(Face& inFace, const Interest& interest) {
   // Hop limit.
   if (interest.hopLimit() == 0) return;
 
-  // The one full-name hash of this Interest: the Dead Nonce List and the
-  // PIT both key on it, and the PIT entry keeps it for erasure.
+  // The one full-name hash of this Interest: the Dead Nonce List, the
+  // PIT and the Content Store all key on it, and the PIT entry keeps it
+  // for erasure.
   const std::size_t nameHash = interest.name().hash();
 
   // Dead Nonce List: a nonce that looped back after its PIT entry was
@@ -214,7 +215,7 @@ void Forwarder::onIncomingInterest(Face& inFace, const Interest& interest) {
   }
 
   // Content Store lookup.
-  if (auto cached = cs_.find(interest, sim_.now())) {
+  if (auto cached = cs_.find(interest, nameHash, sim_.now())) {
     ++counters_.nCsHits;
     if (telemetry_) telemetry_->csHits->inc();
     hopInstant(interest, "cs-hit");
@@ -266,14 +267,15 @@ void Forwarder::onIncomingData(Face& inFace, const Data& data) {
     return;
   }
 
-  auto matches = pit_.findMatches(data);
+  std::size_t nameHash = 0;
+  auto matches = pit_.findMatches(data, nameHash);
   if (matches.empty()) {
     ++counters_.nUnsolicitedData;
     if (telemetry_) telemetry_->unsolicitedData->inc();
     return;  // unsolicited Data is dropped, as in NFD's default policy
   }
 
-  cs_.insert(data, sim_.now());
+  cs_.insert(data, nameHash, sim_.now());
 
   for (const auto& entry : matches) {
     entry->expiryTimer.cancel();

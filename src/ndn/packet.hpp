@@ -205,6 +205,10 @@ class Data {
   [[nodiscard]] std::size_t wireSize() const noexcept;
 
  private:
+  // Stores entries as raw fields and rebuilds the exact packet on a hit,
+  // signature and digest memo included.
+  friend class ContentStore;
+
   [[nodiscard]] std::uint64_t computeDigest() const;
   /// Every setter of a digest input (name, content, content type,
   /// freshness) drops the memo.

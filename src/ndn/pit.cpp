@@ -67,7 +67,8 @@ std::shared_ptr<PitEntry> Pit::find(const Interest& interest) const {
   return it == entries_.end() ? nullptr : it->second;
 }
 
-std::vector<std::shared_ptr<PitEntry>> Pit::findMatches(const Data& data) const {
+std::vector<std::shared_ptr<PitEntry>> Pit::findMatches(const Data& data,
+                                                        std::size_t& nameHash) const {
   std::vector<std::shared_ptr<PitEntry>> matches;
   // Exact-name entries (CanBePrefix false or true), then every proper
   // prefix with CanBePrefix set. Probing prefixes by their hash keeps
@@ -75,6 +76,7 @@ std::vector<std::shared_ptr<PitEntry>> Pit::findMatches(const Data& data) const 
   const Name& dataName = data.name();
   thread_local std::vector<std::size_t> hashes;
   dataName.prefixHashes(hashes);
+  nameHash = hashes.back();
   for (std::size_t len = 0; len <= dataName.size(); ++len) {
     const NamePrefix probe{&dataName, len, hashes[len]};
     const bool exact = len == dataName.size();

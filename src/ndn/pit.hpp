@@ -97,9 +97,15 @@ class Pit {
   [[nodiscard]] std::shared_ptr<PitEntry> find(const Interest& interest) const;
 
   /// All entries that `data` satisfies (exact name, or prefix when the
-  /// Interest allows it).
+  /// Interest allows it). Sets `nameHash` to data.name().hash(), the
+  /// last of the prefix hashes the probes compute.
   [[nodiscard]] std::vector<std::shared_ptr<PitEntry>> findMatches(
-      const Data& data) const;
+      const Data& data, std::size_t& nameHash) const;
+  [[nodiscard]] std::vector<std::shared_ptr<PitEntry>> findMatches(
+      const Data& data) const {
+    std::size_t nameHash = 0;
+    return findMatches(data, nameHash);
+  }
 
   void erase(const std::shared_ptr<PitEntry>& entry);
 

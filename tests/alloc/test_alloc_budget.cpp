@@ -2,7 +2,8 @@
 // seeding index. This binary replaces the global operator new with one
 // that counts, and asserts exact steady-state counts: a simulator event
 // with a small capture, the wire size of a packet, a copy of a Name of
-// short components, a k-mer index build and a k-mer lookup, an aligner
+// short components, a Content Store refresh, one status poll round trip
+// of a Running job, a k-mer index build and a k-mer lookup, an aligner
 // over a reference whose database is already resident; and the resident
 // size of a seed index.
 #include <gtest/gtest.h>
@@ -17,9 +18,12 @@
 #include <string>
 #include <vector>
 
+#include "core/client.hpp"
+#include "core/overlay.hpp"
 #include "genomics/aligner.hpp"
 #include "genomics/kmer_index.hpp"
 #include "genomics/sequence.hpp"
+#include "ndn/cs.hpp"
 #include "ndn/packet.hpp"
 #include "sim/simulator.hpp"
 
@@ -132,6 +136,62 @@ TEST(AllocBudgetTest, CopyingANameOfShortComponentsAllocatesOnce) {
   EXPECT_EQ(allocationsDuring([&] { copy.emplace(spilled); }), 2u);
 }
 
+TEST(AllocBudgetTest, RefreshingAContentStoreNameAllocatesAtMostOneBlock) {
+  ndn::ContentStore cs;
+  ndn::Data data(ndn::Name("/ndn/k8s/status/cloud/job-cloud-1234567890"));
+  data.setContent("state=Running&cluster=cloud");
+  data.setFreshnessPeriod(sim::Duration::millis(500));
+  data.sign();
+  cs.insert(data, sim::Time());
+  // Same-size content: rewritten in place.
+  EXPECT_EQ(allocationsDuring([&] { cs.insert(data, sim::Time()); }), 0u);
+  // Grown content: one new block for the whole entry.
+  data.setContent(std::string(400, 'c'));
+  data.sign();
+  EXPECT_LE(allocationsDuring([&] { cs.insert(data, sim::Time()); }), 1u);
+  EXPECT_EQ(cs.size(), 1u);
+}
+
+TEST(AllocBudgetTest, StatusPollOfARunningJobStaysWithinItsBudget) {
+  // runToCompletion()'s poll loop for a job that keeps running: each
+  // poll goes client -> client-host forwarder -> link -> edge forwarder
+  // -> gateway and back, then re-arms.
+  sim::Simulator sim;
+  core::ClusterOverlay overlay(sim);
+  overlay.addNode("client-host");
+  core::ComputeClusterConfig config;
+  config.name = "edge";
+  config.gateway.enableOrphanReaper = false;  // no sweep inside the window
+  core::ComputeCluster& edge = overlay.addCluster(config);
+  edge.cluster().registerApp("sleeper", [](k8s::AppContext&) {
+    k8s::AppResult result;
+    result.runtime = sim::Duration::hours(1);
+    return result;
+  });
+  edge.gateway().jobs().mapAppToImage("sleep", "sleeper");
+  overlay.connect("client-host", "edge", net::LinkParams{sim::Duration::millis(5)});
+  overlay.announceCluster("edge");
+  core::ClientOptions options;
+  options.statusPollInterval = sim::Duration::seconds(2);  // > status freshness
+  core::LidcClient client(*overlay.topology().node("client-host"), "user", options);
+
+  core::ComputeRequest request;
+  request.app = "sleep";
+  request.cpu = MilliCpu::fromCores(1);
+  request.memory = ByteSize::fromGiB(1);
+  bool finished = false;
+  client.runToCompletion(request, [&finished](Result<core::JobOutcome>) { finished = true; });
+  // The ack lands within 0.1 s, and polls follow every 2 s from then on.
+  // The window [7 s, 27 s) holds exactly 10 whole polls, after the
+  // tables have reached their steady size.
+  const sim::Time start = sim.now();
+  sim.runUntil(start + sim::Duration::seconds(7));
+  const std::size_t tenPolls = allocationsDuring(
+      [&] { sim.runUntil(start + sim::Duration::seconds(27)); });
+  EXPECT_FALSE(finished);
+  EXPECT_LE(tenPolls, 10 * 45u) << "allocations per status poll: " << tenPolls / 10.0;
+}
+
 TEST(AllocBudgetTest, KmerIndexBuildAllocationsDoNotGrowWithTheReference) {
   Rng rng(9);
   const std::string small = genomics::randomBases(rng, 20'000);
@@ -152,6 +212,18 @@ TEST(AllocBudgetTest, KmerIndexKeepsAtMost24BytesPerReferenceWindow) {
   const genomics::KmerIndex index(reference, 11);
   const std::size_t windows = reference.size() - 11 + 1;
   EXPECT_LE(index.residentBytes(), 24 * windows);
+}
+
+TEST(AllocBudgetTest, KmerIndexResidentSizeTracksTheReferenceLength) {
+  // The table is twice the windows at any length, so just past a power
+  // of two it does not double: about 20 B per window at 60 and 200 kbp.
+  Rng rng(13);
+  for (const std::size_t length : {std::size_t{60'000}, std::size_t{200'000}}) {
+    const std::string reference = genomics::randomBases(rng, length);
+    const genomics::KmerIndex index(reference, 11);
+    const std::size_t windows = reference.size() - 11 + 1;
+    EXPECT_LE(2 * index.residentBytes(), 43 * windows) << length;  // 21.5 B
+  }
 }
 
 TEST(AllocBudgetTest, AlignerOverAResidentReferenceAllocatesTheSameAtAnySize) {

@@ -31,7 +31,13 @@ struct GcRig {
       result.runtime = sim::Duration::seconds(5);
       return result;
     });
+    cc->cluster().registerApp("long-sleeper", [](k8s::AppContext&) {
+      k8s::AppResult result;
+      result.runtime = sim::Duration::minutes(20);
+      return result;
+    });
     cc->gateway().jobs().mapAppToImage("sleep", "sleeper");
+    cc->gateway().jobs().mapAppToImage("long", "long-sleeper");
     overlay->connect("client-host", "east",
                      net::LinkParams{sim::Duration::millis(5)});
     overlay->announceCluster("east");
@@ -53,6 +59,27 @@ struct GcRig {
     return ack->ok() ? **ack : SubmitResult{};
   }
 
+  /// Submits a 20-minute sleeper and runs just until the ack is in:
+  /// the job is still Pending.
+  SubmitResult submitLong() {
+    ComputeRequest request;
+    request.app = "long";
+    request.cpu = MilliCpu::fromCores(1);
+    request.memory = ByteSize::fromGiB(1);
+    std::optional<Result<SubmitResult>> ack;
+    client->submit(request,
+                   [&ack](Result<SubmitResult> r) { ack = std::move(r); });
+    while (!ack.has_value() && sim.runSteps(1) > 0) {
+    }
+    EXPECT_TRUE(ack.has_value() && ack->ok());
+    return ack.has_value() && ack->ok() ? **ack : SubmitResult{};
+  }
+
+  /// The k8s Job behind a gateway job id, or nullptr once deleted.
+  const k8s::Job* k8sJob(const std::string& jobId) {
+    return cc->cluster().job(cc->gateway().jobs().namespaceName(), jobId);
+  }
+
   /// One status poll at the current sim time.
   Result<JobStatusSnapshot> poll(const ndn::Name& statusName) {
     std::optional<Result<JobStatusSnapshot>> out;
@@ -61,6 +88,19 @@ struct GcRig {
     });
     sim.run();
     EXPECT_TRUE(out.has_value());
+    return out.has_value() ? *out
+                           : Result<JobStatusSnapshot>(
+                                 Status::Internal("poll never settled"));
+  }
+
+  /// One status poll that runs the world only until it is answered.
+  Result<JobStatusSnapshot> pollNow(const ndn::Name& statusName) {
+    std::optional<Result<JobStatusSnapshot>> out;
+    client->queryStatus(statusName, [&out](Result<JobStatusSnapshot> r) {
+      out = std::move(r);
+    });
+    while (!out.has_value() && sim.runSteps(1) > 0) {
+    }
     return out.has_value() ? *out
                            : Result<JobStatusSnapshot>(
                                  Status::Internal("poll never settled"));
@@ -116,6 +156,63 @@ TEST(StatusGcTest, ReaperSweepEvictsExpiredTerminalsWithoutContact) {
   auto survivor = rig.poll(ndn::Name(second.statusName));
   ASSERT_TRUE(survivor.ok()) << survivor.status();
   EXPECT_EQ(survivor->state, k8s::JobState::kCompleted);
+}
+
+TEST(StatusGcTest, GcDeletesTheFinishedK8sJobWithItsStatus) {
+  GcRig rig(sim::Duration::minutes(2));
+  const SubmitResult ack = rig.submitAndFinish();
+  ASSERT_NE(rig.k8sJob(ack.jobId), nullptr);
+  EXPECT_EQ(rig.k8sJob(ack.jobId)->status().state, k8s::JobState::kCompleted);
+  // The finished job's resources are already free: deleting it changes
+  // no accounting.
+  const k8s::Resources freeBefore = rig.cc->cluster().totalFree();
+  EXPECT_EQ(rig.cc->cluster().totalAllocated(), k8s::Resources{});
+
+  rig.advance(sim::Duration::minutes(3));
+  EXPECT_FALSE(rig.poll(ndn::Name(ack.statusName)).ok());
+  EXPECT_EQ(rig.k8sJob(ack.jobId), nullptr);
+  EXPECT_EQ(rig.cc->cluster().pod(rig.cc->gateway().jobs().namespaceName(),
+                                  ack.jobId + "-pod-0"),
+            nullptr);
+  EXPECT_EQ(rig.cc->cluster().totalFree(), freeBefore);
+  EXPECT_EQ(rig.cc->cluster().totalAllocated(), k8s::Resources{});
+}
+
+TEST(StatusGcTest, ForgettingAPendingOrRunningJobDeletesNothing) {
+  // The orphan reaper forgets jobs stuck Pending; their k8s Jobs stay.
+  GcRig rig(sim::Duration::minutes(2));
+  const SubmitResult pending = rig.submitLong();
+  ASSERT_EQ(rig.k8sJob(pending.jobId)->status().state, k8s::JobState::kPending);
+  rig.cc->gateway().jobs().forget(pending.jobId);
+  ASSERT_NE(rig.k8sJob(pending.jobId), nullptr);
+  EXPECT_FALSE(rig.cc->gateway().jobs().status(pending.jobId).ok());
+
+  const SubmitResult running = rig.submitLong();
+  rig.advance(sim::Duration::seconds(5));
+  ASSERT_EQ(rig.k8sJob(running.jobId)->status().state, k8s::JobState::kRunning);
+  rig.cc->gateway().jobs().forget(running.jobId);
+  ASSERT_NE(rig.k8sJob(running.jobId), nullptr);
+  EXPECT_EQ(rig.k8sJob(running.jobId)->status().state, k8s::JobState::kRunning);
+
+  // Both keep running to completion in the cluster.
+  rig.sim.run();
+  EXPECT_EQ(rig.k8sJob(pending.jobId)->status().state, k8s::JobState::kCompleted);
+  EXPECT_EQ(rig.k8sJob(running.jobId)->status().state, k8s::JobState::kCompleted);
+  EXPECT_EQ(rig.cc->cluster().totalAllocated(), k8s::Resources{});
+}
+
+TEST(StatusGcTest, AliasOfARunningSuccessorKeepsAnsweringPastRetention) {
+  GcRig rig(sim::Duration::minutes(2));
+  const SubmitResult successor = rig.submitLong();
+  rig.cc->gateway().addStatusAlias("west", "west-5", successor.jobId);
+  rig.overlay->topology().installRoutesTo(makeStatusName("west", "west-5"),
+                                          "east");
+  // Several reaper sweeps and retention windows pass while it runs.
+  rig.advance(sim::Duration::minutes(10));
+  auto aliased = rig.pollNow(makeStatusName("west", "west-5"));
+  ASSERT_TRUE(aliased.ok()) << aliased.status();
+  EXPECT_EQ(aliased->state, k8s::JobState::kRunning);
+  ASSERT_NE(rig.k8sJob(successor.jobId), nullptr);
 }
 
 TEST(StatusGcTest, DisabledGcRetainsTerminalStatusIndefinitely) {

@@ -140,6 +140,78 @@ TEST_F(ClusterTest, FailingJobExhaustsBackoffAndFails) {
   EXPECT_NE((*job)->status().message.find("always fails"), std::string::npos);
 }
 
+TEST_F(ClusterTest, DeletingAFinishedJobRemovesItAndItsPodsAndNothingElse) {
+  int attempts = 0;
+  cluster_.registerApp("flaky", [&attempts](AppContext&) {
+    AppResult result;
+    result.runtime = sim::Duration::seconds(1);
+    if (++attempts < 2) result.status = Status::Internal("boom");
+    return result;
+  });
+  registerNoop(30.0);
+  JobSpec spec;
+  spec.app = "flaky";
+  spec.requests = Resources{MilliCpu::fromCores(2), ByteSize::fromGiB(2)};
+  spec.backoffLimit = 1;
+  ASSERT_TRUE(cluster_.createJob("default", "done-job", spec).ok());
+  sim_.runUntil(sim::Time() + sim::Duration::seconds(10));
+  ASSERT_EQ(cluster_.job("default", "done-job")->status().state, JobState::kCompleted);
+  ASSERT_NE(cluster_.pod("default", "done-job-pod-0"), nullptr);
+  ASSERT_NE(cluster_.pod("default", "done-job-pod-1"), nullptr);
+
+  // A neighbour still running keeps its resources through the deletion.
+  spec.app = "noop";
+  ASSERT_TRUE(cluster_.createJob("default", "busy-job", spec).ok());
+  sim_.runUntil(sim_.now() + sim::Duration::seconds(2));
+  ASSERT_EQ(cluster_.job("default", "busy-job")->status().state, JobState::kRunning);
+  const Resources allocated = cluster_.totalAllocated();
+  const Resources free = cluster_.totalFree();
+  const std::size_t running = cluster_.runningJobCount();
+
+  ASSERT_TRUE(cluster_.deleteJob("default", "done-job").ok());
+  EXPECT_EQ(cluster_.job("default", "done-job"), nullptr);
+  EXPECT_EQ(cluster_.pod("default", "done-job-pod-0"), nullptr);
+  EXPECT_EQ(cluster_.pod("default", "done-job-pod-1"), nullptr);
+  EXPECT_EQ(cluster_.totalAllocated(), allocated);
+  EXPECT_EQ(cluster_.totalFree(), free);
+  EXPECT_EQ(cluster_.runningJobCount(), running);
+  EXPECT_EQ(cluster_.pendingUnschedulable(), 0u);
+  EXPECT_EQ(cluster_.deleteJob("default", "done-job").code(), StatusCode::kNotFound);
+
+  sim_.run();
+  EXPECT_EQ(cluster_.job("default", "busy-job")->status().state, JobState::kCompleted);
+  EXPECT_EQ(cluster_.totalAllocated(), Resources{});
+}
+
+TEST_F(ClusterTest, DeleteJobRefusesPendingAndRunningJobs) {
+  registerNoop(5.0);
+  JobSpec spec;
+  spec.app = "noop";
+  spec.requests = Resources{MilliCpu::fromCores(1), ByteSize::fromGiB(1)};
+  ASSERT_TRUE(cluster_.createJob("default", "live", spec).ok());
+  EXPECT_EQ(cluster_.deleteJob("default", "live").code(),
+            StatusCode::kFailedPrecondition);  // Pending
+  sim_.runUntil(sim::Time() + sim::Duration::seconds(2));
+  ASSERT_EQ(cluster_.job("default", "live")->status().state, JobState::kRunning);
+  EXPECT_EQ(cluster_.deleteJob("default", "live").code(),
+            StatusCode::kFailedPrecondition);  // Running
+  ASSERT_NE(cluster_.pod("default", "live-pod-0"), nullptr);
+  sim_.run();
+  EXPECT_EQ(cluster_.job("default", "live")->status().state, JobState::kCompleted);
+  // A Failed job is finished too.
+  cluster_.registerApp("doomed", [](AppContext&) {
+    AppResult result;
+    result.status = Status::Internal("always fails");
+    return result;
+  });
+  spec.app = "doomed";
+  ASSERT_TRUE(cluster_.createJob("default", "failed", spec).ok());
+  sim_.run();
+  ASSERT_EQ(cluster_.job("default", "failed")->status().state, JobState::kFailed);
+  EXPECT_TRUE(cluster_.deleteJob("default", "failed").ok());
+  EXPECT_TRUE(cluster_.deleteJob("default", "live").ok());
+}
+
 TEST_F(ClusterTest, JobWatcherFires) {
   registerNoop();
   std::vector<std::string> finished;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace lidc::ndn {
 namespace {
 
@@ -192,6 +194,106 @@ TEST(ContentStoreTest, ServeStaleModeReplaysExpiredEntriesAgainstMustBeFresh) {
   EXPECT_TRUE(cs.find(fresh, later).has_value());
   cs.setServeStale(false);
   EXPECT_FALSE(cs.find(fresh, later).has_value());
+}
+
+TEST(ContentStoreTest, ServedDataEqualsTheInsertedPacketFieldForField) {
+  ContentStore cs;
+  // A long (heap) component, one past the one-byte length form, and an
+  // empty one, next to short inline ones.
+  Name name("/ndn/k8s/status");
+  name.append(Component(std::string(40, 'j')));
+  name.append(Component(std::string(300, 'x')));
+  name.append(Component());
+  Data data(name);
+  data.setContent("state=Running&cluster=edge");
+  data.setContentType(ContentType::kKey);
+  data.setFreshnessPeriod(sim::Duration::micros(1500));
+  data.sign();
+  cs.insert(data, sim::Time());
+
+  const auto hit = cs.find(Interest(name), sim::Time());
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->name(), data.name());
+  EXPECT_EQ(hit->content(), data.content());
+  EXPECT_EQ(hit->contentType(), ContentType::kKey);
+  EXPECT_EQ(hit->freshnessPeriod(), sim::Duration::micros(1500));
+  EXPECT_TRUE(hit->hasSignature());
+  EXPECT_TRUE(hit->verify());
+  EXPECT_EQ(hit->contentDigest(), data.contentDigest());
+  EXPECT_EQ(hit->wireEncode(), data.wireEncode());
+
+  // Sub-millisecond freshness is kept exactly, not rounded to the wire's
+  // milliseconds: fresh at 1,499 us, stale at 1,500 us.
+  Interest fresh(name);
+  fresh.setMustBeFresh(true);
+  EXPECT_TRUE(cs.find(fresh, sim::Time() + sim::Duration::micros(1499)).has_value());
+  EXPECT_FALSE(cs.find(fresh, sim::Time() + sim::Duration::micros(1500)).has_value());
+
+  // Unsigned Data comes back unsigned, with the same digest.
+  Data plain((Name("/plain/v1")));
+  plain.setContent("bytes");
+  cs.insert(plain, sim::Time());
+  const auto plainHit = cs.find(makeInterest("/plain/v1"), sim::Time());
+  ASSERT_TRUE(plainHit.has_value());
+  EXPECT_FALSE(plainHit->hasSignature());
+  EXPECT_EQ(plainHit->contentDigest(), plain.contentDigest());
+  EXPECT_EQ(plainHit->wireEncode(), plain.wireEncode());
+}
+
+TEST(ContentStoreTest, PoisonedEntryUnderAPrefixIsEvictedNeverServed) {
+  ContentStore cs;
+  cs.setVerification(false);
+  cs.insert(makePoisoned("/a/1"), sim::Time());
+  cs.insert(makeData("/a/2"), sim::Time());
+  cs.setVerification(true);
+  // /a/1 sorts first; it is evicted and the scan moves on to /a/2.
+  const auto hit = cs.find(makeInterest("/a", /*canBePrefix=*/true), sim::Time());
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->name(), Name("/a/2"));
+  EXPECT_EQ(cs.poisonedEvictions(), 1u);
+  EXPECT_EQ(cs.size(), 1u);
+  EXPECT_FALSE(cs.find(makeInterest("/a/1"), sim::Time()).has_value());
+}
+
+TEST(ContentStoreTest, FindsEachOf4096DistinctNamesByExactName) {
+  ContentStore cs(4096);
+  auto nameOf = [](std::size_t i) {
+    return Name("/ndn/k8s/status/cloud").append("job-cloud-" + std::to_string(i));
+  };
+  for (std::size_t i = 0; i < 4096; ++i) {
+    Data data(nameOf(i));
+    data.setContent("state=Running#" + std::to_string(i));
+    cs.insert(data, sim::Time());
+  }
+  ASSERT_EQ(cs.size(), 4096u);
+  for (std::size_t i = 0; i < 4096; ++i) {
+    const auto hit = cs.find(Interest(nameOf(i)), sim::Time());
+    ASSERT_TRUE(hit.has_value()) << i;
+    ASSERT_EQ(hit->contentAsString(), "state=Running#" + std::to_string(i));
+  }
+  // Every lookup refreshed recency in order, so entry 0 is now coldest.
+  Data extra(nameOf(4096));
+  cs.insert(extra, sim::Time());
+  EXPECT_EQ(cs.size(), 4096u);
+  EXPECT_FALSE(cs.find(Interest(nameOf(0)), sim::Time()).has_value());
+  EXPECT_TRUE(cs.find(Interest(nameOf(1)), sim::Time()).has_value());
+}
+
+TEST(ContentStoreTest, RefreshWithLargerOrSmallerContentServesTheNewest) {
+  ContentStore cs;
+  Data data((Name("/a/b")));
+  data.setContent("short");
+  cs.insert(data, sim::Time());
+  data.setContent(std::string(500, 'L'));  // outgrows the entry's block
+  cs.insert(data, sim::Time());
+  EXPECT_EQ(cs.find(makeInterest("/a/b"), sim::Time())->contentAsString(),
+            std::string(500, 'L'));
+  data.setContent("tiny");  // fits the block it already has
+  cs.insert(data, sim::Time());
+  EXPECT_EQ(cs.find(makeInterest("/a/b"), sim::Time())->contentAsString(), "tiny");
+  EXPECT_EQ(cs.size(), 1u);
+  cs.erase(Name("/a/b"));
+  EXPECT_EQ(cs.size(), 0u);
 }
 
 }  // namespace
