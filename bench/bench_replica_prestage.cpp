@@ -251,7 +251,7 @@ RepairRun runRepairScenario() {
   repair.stop();
   directory.stop();
   sim.run();
-  run.repairsCompleted = repair.repairsCompleted();
+  run.repairsCompleted = repair.counters().completed;
   return run;
 }
 

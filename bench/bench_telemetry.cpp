@@ -49,7 +49,7 @@ struct ThroughputResult {
 enum class Mode { kOff, kCounters, kCountersAndTracing };
 
 /// Full consumer->forwarder->producer->consumer exchanges on one node;
-/// optionally with the registry mirror attached, and optionally with a
+/// optionally with the registry attached, and optionally with a
 /// trace context on every Interest (per-hop span recording).
 ThroughputResult forwarderThroughput(Mode mode, std::uint64_t exchanges) {
   sim::Simulator sim;
@@ -198,10 +198,10 @@ int main() {
   std::printf(
       "shape check: a held Counter& costs one relaxed fetch_add (~plain\n"
       "increment); NoopCounter compiles away entirely; only the per-call\n"
-      "family lookup pays for hashing. The forwarder mirrors hold\n"
-      "references, so counters-only throughput stays within a few percent\n"
-      "of uninstrumented; per-hop span recording costs more and is only\n"
-      "paid by Interests that actually carry a trace context.\n");
+      "family lookup pays for hashing. The forwarder always counts into\n"
+      "its own Counters and the registry adopts them, so attaching\n"
+      "counters adds no per-packet work; per-hop span recording costs\n"
+      "more and is only paid by Interests that carry a trace context.\n");
 
   bench::JsonReport report("telemetry");
   report.add("plain_uint64_inc_ns", plainNs);

@@ -113,7 +113,7 @@ std::optional<RunResult> runScenario(workflow::WorkflowOptions options) {
     if (r.ok()) result = RunResult{std::move(r).value(), 0};
   });
   sim.run();
-  if (result.has_value()) result->bytesMoved = engine.bytesMoved();
+  if (result.has_value()) result->bytesMoved = engine.counters().bytesMoved;
   return result;
 }
 

@@ -83,11 +83,11 @@ int main() {
       if (--pending > 0) return;
       std::printf("staging %s: %llu objects, %s in %s\n",
                   firstError.ok() ? "complete" : firstError.toString().c_str(),
-                  static_cast<unsigned long long>(staging.staged()),
+                  static_cast<unsigned long long>(staging.counters().staged),
                   strings::formatBytes(staging.bytesMoved()).c_str(),
                   (sim.now() - stagingStart).toString().c_str());
       std::printf("transfer queue: %llu staged, %llu local hits\n",
-                  static_cast<unsigned long long>(staging.staged()),
+                  static_cast<unsigned long long>(staging.counters().staged),
                   static_cast<unsigned long long>(staging.localHits()));
     });
   }

@@ -76,28 +76,22 @@ ndn::Name LidcClient::requestName(const ComputeRequest& request) const {
 
 void LidcClient::attachTelemetry(telemetry::MetricsRegistry& registry,
                                  telemetry::Tracer* tracer) {
-  telemetry_ = std::make_unique<Telemetry>();
   const telemetry::Labels labels{{"client", name_}};
-  telemetry_->submits = &registry.counter("lidc_client_submits", labels);
-  telemetry_->submits->set(submits_);
-  telemetry_->retries = &registry.counter("lidc_client_retries", labels);
-  telemetry_->failovers = &registry.counter("lidc_client_failovers", labels);
-  telemetry_->polls = &registry.counter("lidc_client_status_polls", labels);
-  telemetry_->hedgesIssued = &registry.counter("lidc_hedges_issued_total", labels);
-  telemetry_->hedgesIssued->set(hedges_issued_);
-  telemetry_->hedgesWon = &registry.counter("lidc_hedges_won_total", labels);
-  telemetry_->hedgesWon->set(hedges_won_);
-  telemetry_->hedgesCancelled =
-      &registry.counter("lidc_hedges_cancelled_total", labels);
-  telemetry_->hedgesCancelled->set(hedges_cancelled_);
-  telemetry_->breakerTrips = &registry.counter("lidc_breaker_trips_total", labels);
-  telemetry_->breakerTrips->set(breaker_trips_);
-  telemetry_->breakerSteered =
-      &registry.counter("lidc_breaker_steered_total", labels);
-  telemetry_->breakerSteered->set(breaker_steered_);
-  telemetry_->watchdogTimeouts =
-      &registry.counter("lidc_watchdog_timeouts_total", labels);
-  telemetry_->watchdogTimeouts->set(watchdog_timeouts_);
+  auto adopt = [&](const char* name, telemetry::Counter& counter) {
+    registry.adopt(name, labels, {counters_, &counter});
+  };
+  ClientCounters& c = *counters_;
+  adopt("lidc_client_submits", c.submits);
+  adopt("lidc_client_retries", c.retries);
+  adopt("lidc_client_failovers", c.failovers);
+  adopt("lidc_client_status_polls", c.statusPolls);
+  adopt("lidc_hedges_issued_total", c.hedgesIssued);
+  adopt("lidc_hedges_won_total", c.hedgesWon);
+  adopt("lidc_hedges_cancelled_total", c.hedgesCancelled);
+  adopt("lidc_breaker_trips_total", c.breakerTrips);
+  adopt("lidc_breaker_steered_total", c.breakerSteered);
+  adopt("lidc_watchdog_timeouts_total", c.watchdogTimeouts);
+  telemetry_ = std::make_unique<Telemetry>();
   telemetry_->jobLatencyUs =
       &registry.histogram("lidc_client_job_latency_us", labels);
   telemetry_->tracer = tracer;
@@ -112,10 +106,9 @@ CircuitBreaker* LidcClient::breakerFor(const std::string& cluster) {
         std::make_unique<CircuitBreaker>(options_.breaker, seed_ ^ fnv1a(cluster));
     breaker->setListener([this, cluster](BreakerState state) {
       if (state == BreakerState::kOpen) {
-        ++breaker_trips_;
-        if (telemetry_) telemetry_->breakerTrips->inc();
+        counters_->breakerTrips.inc();
       }
-      if (telemetry_ && telemetry_->registry != nullptr) {
+      if (telemetry_) {
         // 0 = closed, 1 = half-open, 2 = open.
         const double encoded = state == BreakerState::kClosed     ? 0.0
                                : state == BreakerState::kHalfOpen ? 1.0
@@ -199,14 +192,11 @@ void LidcClient::retryOrGiveUp(std::shared_ptr<ComputeRequest> request,
                          why.toString() + ")"));
     return;
   }
-  if (telemetry_) {
-    telemetry_->retries->inc();
-    if (telemetry_->tracer != nullptr) {
-      telemetry_->tracer->instant(
-          "backoff", "client:" + name_, parent,
-          {{"delay_ms", std::to_string(delay.toMillis())},
-           {"after", why.toString()}});
-    }
+  counters_->retries.inc();
+  if (telemetry::Tracer* tracer = this->tracer()) {
+    tracer->instant("backoff", "client:" + name_, parent,
+                    {{"delay_ms", std::to_string(delay.toMillis())},
+                     {"after", why.toString()}});
   }
   LIDC_FR_EVENT(recorder_, kWarn, "client",
                 name_ + " backoff attempt=" + std::to_string(attempt + 1) +
@@ -228,8 +218,7 @@ void LidcClient::submitAttempt(std::shared_ptr<ComputeRequest> request, int atte
                         std::move(done), parent);
     return;
   }
-  ++submits_;
-  if (telemetry_) telemetry_->submits->inc();
+  counters_->submits.inc();
   submit_attempt_log_.push_back(forwarder_.simulator().now());
 
   telemetry::TraceContext span;
@@ -336,14 +325,10 @@ void LidcClient::submitAttemptHedged(std::shared_ptr<ComputeRequest> request,
               delay] {
         if (race->settled) return;  // already answered (or already failed)
         if (forwarder_.simulator().now() >= deadlineAt) return;
-        ++hedges_issued_;
-        if (telemetry_) {
-          telemetry_->hedgesIssued->inc();
-          if (telemetry_->tracer != nullptr) {
-            telemetry_->tracer->instant(
-                "hedge", "client:" + name_, parent,
-                {{"delay_ms", std::to_string(delay.toMillis())}});
-          }
+        counters_->hedgesIssued.inc();
+        if (telemetry::Tracer* tracer = this->tracer()) {
+          tracer->instant("hedge", "client:" + name_, parent,
+                          {{"delay_ms", std::to_string(delay.toMillis())}});
         }
         LIDC_FR_EVENT(recorder_, kWarn, "client",
                       name_ + " hedge after " + std::to_string(delay.toMillis()) +
@@ -365,8 +350,7 @@ void LidcClient::sendSubmitLeg(std::shared_ptr<HedgeRace> race, bool isHedge,
                                sim::Time startedAt, sim::Time deadlineAt,
                                SubmitCallback done,
                                telemetry::TraceContext parent) {
-  ++submits_;
-  if (telemetry_) telemetry_->submits->inc();
+  counters_->submits.inc();
   submit_attempt_log_.push_back(forwarder_.simulator().now());
   ++race->outstanding;
   const sim::Time sentAt = forwarder_.simulator().now();
@@ -397,16 +381,14 @@ void LidcClient::sendSubmitLeg(std::shared_ptr<HedgeRace> race, bool isHedge,
           const ndn::Interest&, const ndn::Data& data) {
         if (race->settled) {
           // The other leg already won: this is the cancelled loser.
-          ++hedges_cancelled_;
-          if (telemetry_) telemetry_->hedgesCancelled->inc();
+          counters_->hedgesCancelled.inc();
           closeSpan("hedge-lost");
           return;
         }
         race->settled = true;
         --race->outstanding;
         if (isHedge) {
-          ++hedges_won_;
-          if (telemetry_) telemetry_->hedgesWon->inc();
+          counters_->hedgesWon.inc();
         }
         recordAckLatency(forwarder_.simulator().now() - sentAt);
         const KvMap fields = decodeKv(data.contentAsString());
@@ -478,7 +460,7 @@ void LidcClient::sendSubmitLeg(std::shared_ptr<HedgeRace> race, bool isHedge,
 
 void LidcClient::queryStatus(const ndn::Name& statusName, StatusCallback done,
                              telemetry::TraceContext parent) {
-  if (telemetry_) telemetry_->polls->inc();
+  counters_->statusPolls.inc();
   ndn::Interest interest(statusName);
   interest.setTraceContext(parent);
   interest.setMustBeFresh(true);  // never accept a stale cached state
@@ -586,8 +568,7 @@ void LidcClient::pollLoop(std::shared_ptr<const PollState> poll,
     if (options_.pendingProgressTtl.toNanos() > 0) {
       if (result->state == k8s::JobState::kPending) {
         if (now - progressSince >= options_.pendingProgressTtl) {
-          ++watchdog_timeouts_;
-          if (telemetry_) telemetry_->watchdogTimeouts->inc();
+          counters_->watchdogTimeouts.inc();
           LIDC_FR_EVENT(recorder_, kWarn, "client",
                         name_ + " watchdog: no progress on " +
                             poll->statusName.toUri());
@@ -676,12 +657,9 @@ void LidcClient::failoverOrGiveUp(std::shared_ptr<ComputeRequest> request,
     }
     return;
   }
-  if (telemetry_) {
-    telemetry_->failovers->inc();
-    if (telemetry_->tracer != nullptr) {
-      telemetry_->tracer->instant("failover", "client:" + name_, root,
-                                  {{"after", why.toString()}});
-    }
+  counters_->failovers.inc();
+  if (telemetry::Tracer* tracer = this->tracer()) {
+    tracer->instant("failover", "client:" + name_, root, {{"after", why.toString()}});
   }
   log::ScopedTrace scopedTrace(root.trace);
   LIDC_FR_EVENT(recorder_, kWarn, "client",
@@ -753,8 +731,7 @@ void LidcClient::runAttempt(std::shared_ptr<ComputeRequest> request, int failove
         if (CircuitBreaker* breaker = breakerFor(submitted->cluster);
             breaker != nullptr && failover < options_.maxFailovers &&
             !breaker->allowRequest(forwarder_.simulator().now())) {
-          ++breaker_steered_;
-          if (telemetry_) telemetry_->breakerSteered->inc();
+          counters_->breakerSteered.inc();
           LIDC_FR_EVENT(recorder_, kWarn, "client",
                         name_ + " breaker open, steering off " +
                             submitted->cluster);

@@ -139,6 +139,20 @@ struct ClientOptions {
   double quotaBackoffScale = 4.0;
 };
 
+/// Client activity counters, exported once telemetry is attached.
+struct ClientCounters {
+  telemetry::Counter submits;  // compute/submit Interests sent (every attempt and leg)
+  telemetry::Counter retries;  // backoff-and-resend steps
+  telemetry::Counter failovers;  // resubmissions after a lost or failed job
+  telemetry::Counter statusPolls;
+  telemetry::Counter hedgesIssued;
+  telemetry::Counter hedgesWon;
+  telemetry::Counter hedgesCancelled;
+  telemetry::Counter breakerTrips;  // breakers that opened
+  telemetry::Counter breakerSteered;  // attempts steered off an open breaker
+  telemetry::Counter watchdogTimeouts;  // Pending jobs given up as stuck
+};
+
 class LidcClient {
  public:
   LidcClient(ndn::Forwarder& forwarder, std::string name, ClientOptions options = {},
@@ -192,9 +206,10 @@ class LidcClient {
                    PublishCallback done, telemetry::TraceContext parent = {},
                    std::string flowTag = {});
 
-  /// Mirrors client activity into `registry` (submits, retries,
-  /// failovers, end-to-end latency histogram) and — with a tracer —
-  /// records the client-side span tree for every runToCompletion().
+  /// Exports ClientCounters into `registry` (lidc_client_*, hedge,
+  /// breaker and watchdog counters) plus an end-to-end latency
+  /// histogram and — with a tracer — records the client-side span tree
+  /// for every runToCompletion().
   void attachTelemetry(telemetry::MetricsRegistry& registry,
                        telemetry::Tracer* tracer = nullptr);
   [[nodiscard]] telemetry::Tracer* tracer() noexcept {
@@ -208,21 +223,7 @@ class LidcClient {
   }
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] std::uint64_t submitsSent() const noexcept { return submits_; }
-
-  // --- gray-failure defense counters ------------------------------------
-  [[nodiscard]] std::uint64_t hedgesIssued() const noexcept { return hedges_issued_; }
-  [[nodiscard]] std::uint64_t hedgesWon() const noexcept { return hedges_won_; }
-  [[nodiscard]] std::uint64_t hedgesCancelled() const noexcept {
-    return hedges_cancelled_;
-  }
-  [[nodiscard]] std::uint64_t breakerTrips() const noexcept { return breaker_trips_; }
-  [[nodiscard]] std::uint64_t breakerSteered() const noexcept {
-    return breaker_steered_;
-  }
-  [[nodiscard]] std::uint64_t watchdogTimeouts() const noexcept {
-    return watchdog_timeouts_;
-  }
+  [[nodiscard]] const ClientCounters& counters() const noexcept { return *counters_; }
   /// The breaker guarding `cluster`, or nullptr when none exists yet
   /// (no job outcome has been recorded against it, or breakers are
   /// disabled).
@@ -308,16 +309,6 @@ class LidcClient {
 
   /// Registry handles + tracer; null until attachTelemetry().
   struct Telemetry {
-    telemetry::Counter* submits = nullptr;
-    telemetry::Counter* retries = nullptr;
-    telemetry::Counter* failovers = nullptr;
-    telemetry::Counter* polls = nullptr;
-    telemetry::Counter* hedgesIssued = nullptr;
-    telemetry::Counter* hedgesWon = nullptr;
-    telemetry::Counter* hedgesCancelled = nullptr;
-    telemetry::Counter* breakerTrips = nullptr;
-    telemetry::Counter* breakerSteered = nullptr;
-    telemetry::Counter* watchdogTimeouts = nullptr;
     telemetry::Histogram* jobLatencyUs = nullptr;
     telemetry::Tracer* tracer = nullptr;
     /// Kept for the lazily created per-cluster lidc_breaker_state gauge.
@@ -332,7 +323,7 @@ class LidcClient {
   std::uint64_t seed_;
   std::shared_ptr<ndn::AppFace> face_;
   std::unique_ptr<datalake::Retriever> retriever_;
-  std::uint64_t submits_ = 0;
+  std::shared_ptr<ClientCounters> counters_ = std::make_shared<ClientCounters>();
   std::uint64_t next_request_id_ = 1;
   std::vector<sim::Time> submit_attempt_log_;
   std::unique_ptr<Telemetry> telemetry_;
@@ -341,12 +332,6 @@ class LidcClient {
   /// Ring buffer of submit-ack latencies in seconds (hedge-delay input).
   std::vector<double> ack_latencies_;
   std::size_t ack_latency_next_ = 0;
-  std::uint64_t hedges_issued_ = 0;
-  std::uint64_t hedges_won_ = 0;
-  std::uint64_t hedges_cancelled_ = 0;
-  std::uint64_t breaker_trips_ = 0;
-  std::uint64_t breaker_steered_ = 0;
-  std::uint64_t watchdog_timeouts_ = 0;
 };
 
 }  // namespace lidc::core

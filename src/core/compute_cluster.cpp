@@ -84,7 +84,7 @@ void ComputeCluster::attachTelemetry(telemetry::MetricsRegistry& registry,
   // K8s capacity gauges, synced at snapshot time (the k8s layer itself
   // stays telemetry-free).
   const telemetry::Labels labels{{"cluster", config_.name}};
-  registry.registerCollector([this, &registry, labels] {
+  collector_ = registry.registerCollector([this, &registry, labels] {
     const auto free = cluster_->totalFree();
     const auto total = cluster_->totalAllocatable();
     registry.gauge("lidc_cluster_free_cpu_m", labels)

@@ -114,6 +114,7 @@ class ComputeCluster {
   telemetry::MetricsRegistry* registry_ = nullptr;
   bool flow_mirrored_ = false;
   bool flow_published_ = false;
+  telemetry::CollectorHandle collector_;
 
   /// Wires the accountant into whatever export targets exist yet.
   void wireFlowExports();

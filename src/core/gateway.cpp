@@ -82,7 +82,7 @@ void Gateway::enableQos(qos::TenantRegistry& tenants,
 void Gateway::handleInterest(const ndn::Interest& interest) {
   if (blackout_) {
     // Gateway process "down": total silence, the PIT entry times out.
-    ++counters_.blackoutDropped;
+    counters_->blackoutDropped.inc();
     LIDC_FR_EVENT(recorder_, kWarn, "gateway",
                   cluster_name_ + " blackout-drop " + interest.name().toUri());
     return;
@@ -115,7 +115,7 @@ void Gateway::replyKv(const ndn::Name& name, const KvMap& fields,
 // fresh job id — then never schedule anything. The client only finds
 // out when its progress watchdog notices the job never leaves Pending.
 void Gateway::grayAdmit(const ndn::Interest& interest) {
-  ++counters_.grayAdmitted;
+  counters_->grayAdmitted.inc();
   const std::string jobId = "gray-" + std::to_string(next_gray_id_++);
   gray_jobs_.insert(jobId);
   LIDC_FR_EVENT(recorder_, kWarn, "gateway",
@@ -128,7 +128,7 @@ void Gateway::grayAdmit(const ndn::Interest& interest) {
 }
 
 void Gateway::onCompute(const ndn::Interest& interest) {
-  ++counters_.computeReceived;
+  counters_->computeReceived.inc();
   if (gray_) {
     grayAdmit(interest);
     return;
@@ -136,7 +136,7 @@ void Gateway::onCompute(const ndn::Interest& interest) {
 
   auto parsed = ComputeRequest::fromName(interest.name());
   if (!parsed.ok()) {
-    ++counters_.computeRejected;
+    counters_->computeRejected.inc();
     if (tracer_ != nullptr) {
       tracer_->instant("gateway-admission", "gateway:" + cluster_name_,
                        interest.traceContext(),
@@ -154,7 +154,7 @@ void Gateway::onCompute(const ndn::Interest& interest) {
 }
 
 void Gateway::onSubmit(const ndn::Interest& interest) {
-  ++counters_.computeReceived;
+  counters_->computeReceived.inc();
   if (admission_ == nullptr) {
     // QoS not enabled here: let the network try another cluster.
     face_->putNack(interest, ndn::NackReason::kNoRoute);
@@ -168,7 +168,7 @@ void Gateway::onSubmit(const ndn::Interest& interest) {
   auto parsed = parseSubmitName(interest.name());
   if (!parsed.ok()) {
     // Malformed submit names are terminal: no cluster can parse them.
-    ++counters_.computeRejected;
+    counters_->computeRejected.inc();
     LIDC_FR_EVENT(recorder_, kWarn, "gateway",
                   cluster_name_ + " submit-parse-reject");
     replyKv(interest.name(),
@@ -204,7 +204,7 @@ void Gateway::onSubmit(const ndn::Interest& interest) {
     }
   };
   job.evict = [this, held](const std::string&) {
-    ++counters_.computeRejected;
+    counters_->computeRejected.inc();
     face_->putNack(*held, ndn::NackReason::kQuotaExceeded);
   };
 
@@ -214,7 +214,7 @@ void Gateway::onSubmit(const ndn::Interest& interest) {
     case qos::AdmitDecision::kRejectedUnknownTenant:
       // Terminal: an unknown tenant is unknown everywhere (the registry
       // is federation-wide), so an error Data beats a failover storm.
-      ++counters_.computeRejected;
+      counters_->computeRejected.inc();
       replyKv(interest.name(),
               {{"error", "unknown tenant '" + tenant + "'"},
                {"cluster", cluster_name_}},
@@ -223,7 +223,7 @@ void Gateway::onSubmit(const ndn::Interest& interest) {
     case qos::AdmitDecision::kRejectedRate:
     case qos::AdmitDecision::kRejectedQuota:
     case qos::AdmitDecision::kRejectedQueueFull:
-      ++counters_.computeRejected;
+      counters_->computeRejected.inc();
       face_->putNack(interest, ndn::NackReason::kQuotaExceeded);
       return;
   }
@@ -257,7 +257,7 @@ bool Gateway::processCompute(const ndn::Interest& interest,
   // so the network fails over to a cluster that can serve the request;
   // malformed requests get a terminal error Data — no cluster can help.
   if (Status valid = validators_.validate(request); !valid.ok()) {
-    ++counters_.computeRejected;
+    counters_->computeRejected.inc();
     admission("validation-reject", {{"error", valid.toString()}});
     if (valid.code() == StatusCode::kNotFound) {
       face_->putNack(interest, ndn::NackReason::kNoRoute);
@@ -284,7 +284,7 @@ bool Gateway::processCompute(const ndn::Interest& interest,
     const auto ref = parseCkptRef(ckptIt->second);
     if (!ref) {
       // Malformed references are terminal: no cluster can parse them.
-      ++counters_.computeRejected;
+      counters_->computeRejected.inc();
       admission("ckpt-parse-reject");
       replyKv(interest.name(),
               {{"error", "INVALID_ARGUMENT: malformed ckpt reference '" +
@@ -331,7 +331,7 @@ bool Gateway::processCompute(const ndn::Interest& interest,
       }
     }
     if (!invalid.empty()) {
-      ++counters_.ckptRestoreFailures;
+      counters_->ckptRestoreFailures.inc();
       LIDC_FR_EVENT(recorder_, kWarn, "gateway",
                     cluster_name_ + " ckpt-restore-fallback " + ckptIt->second +
                         " (" + invalid + ")");
@@ -355,7 +355,7 @@ bool Gateway::processCompute(const ndn::Interest& interest,
   // with the stored result location (paper SVII).
   if (options_.enableResultCache && request.requestId.empty()) {
     if (auto cached = cache_.get(canonical, forwarder_.simulator().now())) {
-      ++counters_.cacheHits;
+      counters_->cacheHits.inc();
       admission("cache-hit", {{"job_id", cached->jobId}});
       replyKv(interest.name(),
               {{"cached", "1"},
@@ -368,7 +368,7 @@ bool Gateway::processCompute(const ndn::Interest& interest,
     }
     // In-flight dedup: join a running job for the same canonical name.
     if (auto it = inflight_.find(canonical); it != inflight_.end()) {
-      ++counters_.inflightDedup;
+      counters_->inflightDedup.inc();
       admission("dedup", {{"job_id", it->second}});
       replyKv(interest.name(),
               {{"job_id", it->second},
@@ -391,7 +391,7 @@ bool Gateway::processCompute(const ndn::Interest& interest,
     // partial failures usually cascade, and the overlay has healthier
     // clusters to offer.
     if (healthyNodeFraction() < options_.minHealthyNodeFraction) {
-      ++counters_.healthRejected;
+      counters_->healthRejected.inc();
       admission("health-reject",
                 {{"healthy_fraction", std::to_string(healthyNodeFraction())}});
       face_->putNack(interest, ndn::NackReason::kCongestion);
@@ -404,7 +404,7 @@ bool Gateway::processCompute(const ndn::Interest& interest,
     needed.memory = effective.memory.bytes() > 0 ? effective.memory
                                                  : JobManager::defaultMemory();
     if (!needed.fitsWithin(cluster_.totalFree())) {
-      ++counters_.capacityRejected;
+      counters_->capacityRejected.inc();
       admission("capacity-reject");
       face_->putNack(interest, ndn::NackReason::kCongestion);
       return false;
@@ -413,7 +413,7 @@ bool Gateway::processCompute(const ndn::Interest& interest,
 
   auto jobId = jobs_.submit(effective, priorityClass);
   if (!jobId.ok()) {
-    ++counters_.computeRejected;
+    counters_->computeRejected.inc();
     admission("launch-reject", {{"error", jobId.status().toString()}});
     if (jobId.status().code() == StatusCode::kNotFound) {
       // e.g. this cluster does not serve the application image; another
@@ -436,7 +436,7 @@ bool Gateway::processCompute(const ndn::Interest& interest,
     return false;
   }
 
-  ++counters_.jobsLaunched;
+  counters_->jobsLaunched.inc();
   const telemetry::TraceContext launchCtx =
       admission("launch", {{"job_id", *jobId}});
   LaunchRecord record{effective, forwarder_.simulator().now(), launchCtx};
@@ -454,7 +454,7 @@ bool Gateway::processCompute(const ndn::Interest& interest,
   scheduleReaper();
 
   if (restoring) {
-    ++counters_.ckptRestores;
+    counters_->ckptRestores.inc();
     LIDC_FR_EVENT(recorder_, kInfo, "gateway",
                   cluster_name_ + " ckpt-restore " + *jobId + " from " +
                       ckptJobId);
@@ -474,7 +474,7 @@ bool Gateway::processCompute(const ndn::Interest& interest,
 }
 
 void Gateway::onStatus(const ndn::Interest& interest) {
-  ++counters_.statusReceived;
+  counters_->statusReceived.inc();
   auto parsed = parseStatusName(interest.name());
   if (!parsed.ok()) {
     face_->putNack(interest, ndn::NackReason::kNoRoute);
@@ -489,7 +489,7 @@ void Gateway::onStatus(const ndn::Interest& interest) {
       face_->putNack(interest, ndn::NackReason::kNoRoute);
       return;
     }
-    ++counters_.aliasServed;
+    counters_->aliasServed.inc();
     jobKey = alias->second.jobId;
   }
   // Touch-eviction: an expired terminal entry is forgotten on contact,
@@ -498,7 +498,7 @@ void Gateway::onStatus(const ndn::Interest& interest) {
     if (auto t = terminal_.find(jobKey);
         t != terminal_.end() &&
         forwarder_.simulator().now() - t->second > options_.statusRetention) {
-      ++counters_.statusEvicted;
+      counters_->statusEvicted.inc();
       jobs_.forget(jobKey);
       terminal_.erase(t);
     }
@@ -520,7 +520,7 @@ void Gateway::onStatus(const ndn::Interest& interest) {
     // NotFound.
     if (status.status().code() == StatusCode::kNotFound &&
         launched_.count(jobKey) > 0) {
-      ++counters_.vanishedEvicted;
+      counters_->vanishedEvicted.inc();
       evictJob(jobKey, /*forgetStatus=*/false);
     }
     replyKv(interest.name(), {{"error", status.status().toString()}},
@@ -556,7 +556,7 @@ void Gateway::onStatus(const ndn::Interest& interest) {
 }
 
 void Gateway::onInfo(const ndn::Interest& interest) {
-  ++counters_.infoReceived;
+  counters_->infoReceived.inc();
   const auto free = cluster_.totalFree();
   const auto total = cluster_.totalAllocatable();
   std::string apps;
@@ -581,7 +581,7 @@ void Gateway::onPublish(const ndn::Interest& interest) {
   // in ApplicationParameters. The trailing digest makes the command name
   // unique per content version and lets the gateway verify integrity.
   auto reject = [this, &interest](const std::string& reason) {
-    ++counters_.publishesRejected;
+    counters_->publishesRejected.inc();
     replyKv(interest.name(), {{"error", reason}, {"cluster", cluster_name_}},
             options_.statusFreshness);
   };
@@ -648,7 +648,7 @@ void Gateway::onPublish(const ndn::Interest& interest) {
     if (stored.code() == StatusCode::kResourceExhausted) {
       // Over the tenant's publish byte budget: distinct quota signal so
       // the client backs off instead of failing over.
-      ++counters_.publishesRejected;
+      counters_->publishesRejected.inc();
       LIDC_FR_EVENT(recorder_, kWarn, "gateway",
                     cluster_name_ + " publish-quota-reject tenant=" + tenant);
       face_->putNack(interest, ndn::NackReason::kQuotaExceeded);
@@ -657,7 +657,7 @@ void Gateway::onPublish(const ndn::Interest& interest) {
     reject(stored.toString());
     return;
   }
-  ++counters_.publishesAccepted;
+  counters_->publishesAccepted.inc();
   LIDC_LOG(kInfo, "gateway") << cluster_name_ << " stored published object "
                              << objectName.toUri();
   replyKv(interest.name(),
@@ -725,31 +725,34 @@ void Gateway::attachTelemetry(telemetry::MetricsRegistry& registry,
   metrics_registry_ = &registry;
   if (admission_) admission_->attachTelemetry(registry);
   const telemetry::Labels labels{{"cluster", cluster_name_}};
-  registry.registerCollector([this, &registry, labels] {
-    auto sync = [&](const char* name, std::uint64_t value) {
-      registry.counter(name, labels).set(value);
-    };
-    sync("lidc_gateway_compute_received", counters_.computeReceived);
-    sync("lidc_gateway_compute_rejected", counters_.computeRejected);
-    sync("lidc_gateway_jobs_launched", counters_.jobsLaunched);
-    sync("lidc_gateway_cache_hits", counters_.cacheHits);
-    sync("lidc_gateway_inflight_dedup", counters_.inflightDedup);
-    sync("lidc_gateway_status_received", counters_.statusReceived);
-    sync("lidc_gateway_capacity_rejected", counters_.capacityRejected);
-    sync("lidc_gateway_info_received", counters_.infoReceived);
-    sync("lidc_gateway_publishes_accepted", counters_.publishesAccepted);
-    sync("lidc_gateway_publishes_rejected", counters_.publishesRejected);
-    sync("lidc_gateway_health_rejected", counters_.healthRejected);
-    sync("lidc_gateway_orphans_reaped", counters_.orphansReaped);
-    sync("lidc_gateway_vanished_evicted", counters_.vanishedEvicted);
-    sync("lidc_gateway_blackout_dropped", counters_.blackoutDropped);
-    sync("lidc_gateway_gray_admitted", counters_.grayAdmitted);
-    sync("lidc_ckpt_restores_total", counters_.ckptRestores);
-    sync("lidc_ckpt_restore_failures_total", counters_.ckptRestoreFailures);
-    sync("lidc_status_evicted_total", counters_.statusEvicted);
-    sync("lidc_status_alias_served_total", counters_.aliasServed);
-    sync("lidc_result_cache_hits", cache_.hits());
-    sync("lidc_result_cache_misses", cache_.misses());
+  auto adopt = [&](const char* name, telemetry::Counter& counter) {
+    registry.adopt(name, labels, {counters_, &counter});
+  };
+  GatewayCounters& c = *counters_;
+  adopt("lidc_gateway_compute_received", c.computeReceived);
+  adopt("lidc_gateway_compute_rejected", c.computeRejected);
+  adopt("lidc_gateway_jobs_launched", c.jobsLaunched);
+  adopt("lidc_gateway_cache_hits", c.cacheHits);
+  adopt("lidc_gateway_inflight_dedup", c.inflightDedup);
+  adopt("lidc_gateway_status_received", c.statusReceived);
+  adopt("lidc_gateway_capacity_rejected", c.capacityRejected);
+  adopt("lidc_gateway_info_received", c.infoReceived);
+  adopt("lidc_gateway_publishes_accepted", c.publishesAccepted);
+  adopt("lidc_gateway_publishes_rejected", c.publishesRejected);
+  adopt("lidc_gateway_health_rejected", c.healthRejected);
+  adopt("lidc_gateway_orphans_reaped", c.orphansReaped);
+  adopt("lidc_gateway_vanished_evicted", c.vanishedEvicted);
+  adopt("lidc_gateway_blackout_dropped", c.blackoutDropped);
+  adopt("lidc_gateway_gray_admitted", c.grayAdmitted);
+  adopt("lidc_ckpt_restores_total", c.ckptRestores);
+  adopt("lidc_ckpt_restore_failures_total", c.ckptRestoreFailures);
+  adopt("lidc_status_evicted_total", c.statusEvicted);
+  adopt("lidc_status_alias_served_total", c.aliasServed);
+  // The result cache keeps its own counts; they and the gauges are
+  // read at snapshot time.
+  collector_ = registry.registerCollector([this, &registry, labels] {
+    registry.counter("lidc_result_cache_hits", labels).set(cache_.hits());
+    registry.counter("lidc_result_cache_misses", labels).set(cache_.misses());
     registry.gauge("lidc_result_cache_size", labels)
         .set(static_cast<double>(cache_.size()));
     registry.gauge("lidc_gateway_healthy_node_fraction", labels)
@@ -818,7 +821,7 @@ void Gateway::reapOrphans() {
     }
   }
   for (const auto& jobId : victims) {
-    ++counters_.orphansReaped;
+    counters_->orphansReaped.inc();
     LIDC_LOG(kInfo, "gateway")
         << cluster_name_ << " reaped orphaned job " << jobId;
     evictJob(jobId, /*forgetStatus=*/true);
@@ -829,7 +832,7 @@ void Gateway::reapOrphans() {
   if (options_.enableStatusGc) {
     for (auto it = terminal_.begin(); it != terminal_.end();) {
       if (now - it->second > options_.statusRetention) {
-        ++counters_.statusEvicted;
+        counters_->statusEvicted.inc();
         jobs_.forget(it->first);
         it = terminal_.erase(it);
       } else {

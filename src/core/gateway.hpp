@@ -62,25 +62,25 @@ struct GatewayOptions {
 };
 
 struct GatewayCounters {
-  std::uint64_t computeReceived = 0;
-  std::uint64_t computeRejected = 0;   // validation/parse failures
-  std::uint64_t jobsLaunched = 0;
-  std::uint64_t cacheHits = 0;         // served from the result cache
-  std::uint64_t inflightDedup = 0;     // joined an already-running job
-  std::uint64_t statusReceived = 0;
-  std::uint64_t capacityRejected = 0;  // cluster could not fit the job
-  std::uint64_t infoReceived = 0;      // capability queries served
-  std::uint64_t publishesAccepted = 0;
-  std::uint64_t publishesRejected = 0;
-  std::uint64_t healthRejected = 0;    // nacked by the health gate
-  std::uint64_t orphansReaped = 0;     // launched/inflight entries expired
-  std::uint64_t vanishedEvicted = 0;   // evicted when the job object vanished
-  std::uint64_t blackoutDropped = 0;   // Interests dropped during a blackout
-  std::uint64_t grayAdmitted = 0;      // jobs "accepted" by a gray gateway
-  std::uint64_t ckptRestores = 0;      // jobs launched from a checkpoint
-  std::uint64_t ckptRestoreFailures = 0;  // stale/corrupt ckpt -> cold start
-  std::uint64_t statusEvicted = 0;     // terminal status entries GC'd
-  std::uint64_t aliasServed = 0;       // polls served through a migration alias
+  telemetry::Counter computeReceived;
+  telemetry::Counter computeRejected;  // validation/parse failures
+  telemetry::Counter jobsLaunched;
+  telemetry::Counter cacheHits;  // served from the result cache
+  telemetry::Counter inflightDedup;  // joined an already-running job
+  telemetry::Counter statusReceived;
+  telemetry::Counter capacityRejected;  // cluster could not fit the job
+  telemetry::Counter infoReceived;  // capability queries served
+  telemetry::Counter publishesAccepted;
+  telemetry::Counter publishesRejected;
+  telemetry::Counter healthRejected;  // nacked by the health gate
+  telemetry::Counter orphansReaped;  // launched/inflight entries expired
+  telemetry::Counter vanishedEvicted;  // evicted when the job object vanished
+  telemetry::Counter blackoutDropped;  // Interests dropped during a blackout
+  telemetry::Counter grayAdmitted;  // jobs "accepted" by a gray gateway
+  telemetry::Counter ckptRestores;  // jobs launched from a checkpoint
+  telemetry::Counter ckptRestoreFailures;  // stale/corrupt ckpt -> cold start
+  telemetry::Counter statusEvicted;  // terminal status entries GC'd
+  telemetry::Counter aliasServed;  // polls served through a migration alias
 };
 
 class Gateway {
@@ -132,7 +132,7 @@ class Gateway {
   }
   [[nodiscard]] JobManager& jobs() noexcept { return jobs_; }
   [[nodiscard]] ResultCache& cache() noexcept { return cache_; }
-  [[nodiscard]] const GatewayCounters& counters() const noexcept { return counters_; }
+  [[nodiscard]] const GatewayCounters& counters() const noexcept { return *counters_; }
   [[nodiscard]] ValidatorRegistry& validators() noexcept { return validators_; }
   [[nodiscard]] ndn::FaceId faceId() const noexcept { return face_id_; }
 
@@ -160,8 +160,9 @@ class Gateway {
   /// Fraction of this cluster's nodes currently Ready, in [0, 1].
   [[nodiscard]] double healthyNodeFraction() const;
 
-  /// Syncs GatewayCounters, result-cache stats, and the health gauge
-  /// into `registry` at snapshot time (lidc_gateway_*{cluster=...}).
+  /// Exports GatewayCounters into `registry` (lidc_gateway_*{cluster=...})
+  /// and reads the result-cache stats and the health gauge at snapshot
+  /// time.
   /// With a tracer, traced compute Interests get a "gateway-admission"
   /// span, status serves get instants, and finished jobs get
   /// retroactive "k8s-schedule" / "k8s-exec" spans from the recorded
@@ -217,7 +218,7 @@ class Gateway {
   ResultCache cache_;
   std::shared_ptr<ndn::AppFace> face_;
   ndn::FaceId face_id_ = ndn::kInvalidFaceId;
-  GatewayCounters counters_;
+  std::shared_ptr<GatewayCounters> counters_ = std::make_shared<GatewayCounters>();
   telemetry::Tracer* tracer_ = nullptr;
   telemetry::FlightRecorder* recorder_ = nullptr;
   bool admission_control_ = true;
@@ -259,6 +260,7 @@ class Gateway {
   /// jobId -> originating request + launch time (cache/predictor
   /// bookkeeping and orphan expiry).
   std::unordered_map<std::string, LaunchRecord> launched_;
+  telemetry::CollectorHandle collector_;
 };
 
 }  // namespace lidc::core

@@ -66,24 +66,29 @@ Result<std::string> JobManager::submit(const ComputeRequest& request,
 
   auto job = cluster_.createJob(ns, jobId, std::move(spec));
   if (!job.ok()) return job.status();
-  job_namespaces_[jobId] = ns;
+  jobs_[jobId] = Placement{ns};
   return jobId;
 }
 
 void JobManager::forget(const std::string& jobId) {
-  auto it = job_namespaces_.find(jobId);
-  if (it == job_namespaces_.end()) return;
-  // Refused (FailedPrecondition) unless the job has finished.
-  (void)cluster_.deleteJob(it->second, jobId);
-  job_namespaces_.erase(it);
+  auto it = jobs_.find(jobId);
+  if (it == jobs_.end()) return;
+  // Refused (FailedPrecondition) unless the job has finished; the
+  // mapping then waits, hidden, for the GC of the finished job.
+  const Status deleted = cluster_.deleteJob(it->second.ns, jobId);
+  if (deleted.code() == StatusCode::kFailedPrecondition) {
+    it->second.forgotten = true;
+  } else {
+    jobs_.erase(it);
+  }
 }
 
 Result<JobStatusInfo> JobManager::status(const std::string& jobId) const {
-  auto it = job_namespaces_.find(jobId);
-  if (it == job_namespaces_.end()) {
+  auto it = jobs_.find(jobId);
+  if (it == jobs_.end() || it->second.forgotten) {
     return Status::NotFound("unknown job id " + jobId);
   }
-  const auto* job = std::as_const(cluster_).job(it->second, jobId);
+  const auto* job = std::as_const(cluster_).job(it->second.ns, jobId);
   if (job == nullptr) return Status::NotFound("job object vanished: " + jobId);
 
   const auto& status = job->status();

@@ -48,12 +48,13 @@ class JobManager {
 
   [[nodiscard]] Result<JobStatusInfo> status(const std::string& jobId) const;
 
-  /// Drops all bookkeeping for a job id: subsequent status() queries
-  /// return NotFound. Used by the gateway's status GC after
-  /// statusRetention and by its orphan reaper to retire jobs stuck
-  /// non-terminal past their TTL. A finished (Completed or Failed) k8s
-  /// Job goes with its status entry (TTL-after-finished, driven by the
-  /// retention); a Pending or Running one is never deleted.
+  /// Retires a job id: subsequent status() queries return NotFound.
+  /// Used by the gateway's status GC after statusRetention and by its
+  /// orphan reaper to retire jobs stuck non-terminal past their TTL. A
+  /// finished (Completed or Failed) k8s Job goes with its status entry
+  /// (TTL-after-finished, driven by the retention); a Pending or Running
+  /// one is never deleted, and keeps a hidden mapping until the status
+  /// GC forgets it again once it has finished.
   void forget(const std::string& jobId);
 
   [[nodiscard]] const std::string& namespaceName() const noexcept {
@@ -70,8 +71,11 @@ class JobManager {
   k8s::Cluster& cluster_;
   std::string namespace_;
   std::map<std::string, std::string> app_images_;
-  /// jobId -> namespace the job lives in (job name == jobId).
-  std::map<std::string, std::string> job_namespaces_;
+  struct Placement {
+    std::string ns;  // namespace the job lives in (job name == jobId)
+    bool forgotten = false;  // retired before its k8s Job could be deleted
+  };
+  std::map<std::string, Placement> jobs_;
   std::uint64_t next_job_seq_ = 0;
 };
 

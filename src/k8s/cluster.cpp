@@ -136,7 +136,10 @@ std::optional<Resources> Cluster::namespaceQuota(const std::string& ns) const {
 Resources Cluster::namespaceUsage(const std::string& ns) const {
   Resources usage;
   for (const auto& [k, pod] : pods_) {
-    if (pod->namespaceName() == ns) usage += pod->spec().requests;
+    // Finished pods hold nothing, as in Kubernetes ResourceQuota.
+    const bool live = pod->phase() == PodPhase::kPending ||
+                      pod->phase() == PodPhase::kRunning;
+    if (live && pod->namespaceName() == ns) usage += pod->spec().requests;
   }
   return usage;
 }

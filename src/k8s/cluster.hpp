@@ -76,7 +76,7 @@ class Cluster {
   /// admission, not queued.
   void setNamespaceQuota(const std::string& ns, Resources quota);
   [[nodiscard]] std::optional<Resources> namespaceQuota(const std::string& ns) const;
-  /// Sum of requests of all pods currently in the namespace.
+  /// Sum of requests of the namespace's Pending and Running pods.
   [[nodiscard]] Resources namespaceUsage(const std::string& ns) const;
 
   // --- pods ---

@@ -26,7 +26,7 @@ CheckpointManager::CheckpointManager(k8s::Cluster& cluster,
 void CheckpointManager::onExecuted(const k8s::Job& job,
                                    const k8s::AppResult& result) {
   if (!result.checkpointPlan || !result.status.ok()) return;
-  ++counters_.plansTracked;
+  counters_->plansTracked.inc();
   auto state = std::make_shared<PlanState>();
   state->jobId = job.name();
   state->ns = job.namespaceName();
@@ -76,7 +76,7 @@ void CheckpointManager::writeEpoch(const std::shared_ptr<PlanState>& state) {
   if (options_.costAware && remaining < cost) {
     // Endgame: re-running the tail is cheaper than writing it out. All
     // later writes would be even deeper in the endgame — stop here.
-    ++counters_.skippedEndgame;
+    counters_->skippedEndgame.inc();
     state->stopped = true;
     std::snprintf(line, sizeof(line), "t=%.6fs skip-endgame job=%s epoch=%llu",
                   now.toSeconds(), state->jobId.c_str(),
@@ -106,8 +106,8 @@ void CheckpointManager::writeEpoch(const std::shared_ptr<PlanState>& state) {
   (void)store_.putText(core::makeCkptManifestName(state->jobId),
                        core::encodeCkptManifest(manifest));
 
-  ++counters_.written;
-  counters_.bytes += bytes;
+  counters_->written.inc();
+  counters_->bytes.inc(bytes);
   overhead_ += cost;
   if (catalog_ != nullptr) {
     catalog_->markReady(name, bytes);
@@ -144,12 +144,10 @@ void CheckpointManager::trace(const std::string& line) {
 
 void CheckpointManager::attachTelemetry(telemetry::MetricsRegistry& registry) {
   const telemetry::Labels labels{{"cluster", cluster_.name()}};
-  registry.registerCollector([this, &registry, labels] {
-    registry.counter("lidc_ckpt_written_total", labels).set(counters_.written);
-    registry.counter("lidc_ckpt_bytes_total", labels).set(counters_.bytes);
-    registry.counter("lidc_ckpt_skipped_endgame_total", labels)
-        .set(counters_.skippedEndgame);
-  });
+  registry.adopt("lidc_ckpt_written_total", labels, {counters_, &counters_->written});
+  registry.adopt("lidc_ckpt_bytes_total", labels, {counters_, &counters_->bytes});
+  registry.adopt("lidc_ckpt_skipped_endgame_total", labels,
+                 {counters_, &counters_->skippedEndgame});
 }
 
 }  // namespace lidc::migrate

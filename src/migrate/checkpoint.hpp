@@ -54,10 +54,10 @@ struct CheckpointOptions {
 };
 
 struct CheckpointCounters {
-  std::uint64_t written = 0;         // epoch objects written
-  std::uint64_t bytes = 0;           // payload bytes across all epochs
-  std::uint64_t skippedEndgame = 0;  // cost-aware skips
-  std::uint64_t plansTracked = 0;    // checkpointable executions seen
+  telemetry::Counter written;         // epoch objects written
+  telemetry::Counter bytes;           // payload bytes across all epochs
+  telemetry::Counter skippedEndgame;  // cost-aware skips
+  telemetry::Counter plansTracked;    // checkpointable executions seen
 };
 
 class CheckpointManager {
@@ -72,7 +72,7 @@ class CheckpointManager {
   CheckpointManager& operator=(const CheckpointManager&) = delete;
 
   [[nodiscard]] const CheckpointCounters& counters() const noexcept {
-    return counters_;
+    return *counters_;
   }
   /// Total modeled write cost accrued — the no-failure-path overhead the
   /// bench holds under 5% of job runtime.
@@ -83,9 +83,9 @@ class CheckpointManager {
   /// across same-seed runs.
   [[nodiscard]] const std::string& epochLog() const noexcept { return log_; }
 
-  /// Syncs lidc_ckpt_written_total / lidc_ckpt_bytes_total /
+  /// Exports lidc_ckpt_written_total / lidc_ckpt_bytes_total /
   /// lidc_ckpt_skipped_endgame_total (labeled by cluster) into
-  /// `registry` at snapshot time.
+  /// `registry`.
   void attachTelemetry(telemetry::MetricsRegistry& registry);
   void setFlightRecorder(telemetry::FlightRecorder* recorder) noexcept {
     recorder_ = recorder;
@@ -116,7 +116,8 @@ class CheckpointManager {
   replica::ReplicaCatalog* catalog_;
   replica::PlacementPolicy* policy_;
   telemetry::FlightRecorder* recorder_ = nullptr;
-  CheckpointCounters counters_;
+  std::shared_ptr<CheckpointCounters> counters_ =
+      std::make_shared<CheckpointCounters>();
   sim::Duration overhead_;
   std::string log_;
 };

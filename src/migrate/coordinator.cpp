@@ -145,7 +145,7 @@ void MigrationCoordinator::migrate(const std::shared_ptr<TrackedJob>& job,
                                    const std::string& reason) {
   if (!job->active || job->migrating) return;
   if (job->migrations >= options_.maxMigrationsPerJob) {
-    ++counters_.failed;
+    counters_->failed.inc();
     job->active = false;
     trace(fmtTime(client_.simulator().now()) + " fail job=" + job->jobId +
           " reason=migration-budget");
@@ -155,7 +155,7 @@ void MigrationCoordinator::migrate(const std::shared_ptr<TrackedJob>& job,
   }
   job->migrating = true;
   job->planStart = client_.simulator().now();
-  ++counters_.planned;
+  counters_->planned.inc();
   trace(fmtTime(job->planStart) + " plan job=" + job->jobId +
         " reason=" + reason + " from=" + job->cluster);
   LIDC_FR_EVENT(recorder_, kInfo, "migrate",
@@ -221,7 +221,7 @@ void MigrationCoordinator::prestageAndResubmit(
     std::uint64_t epoch, std::uint64_t digest) {
   const std::string target = pickTarget(job->cluster);
   if (target.empty()) {
-    ++counters_.failed;
+    counters_->failed.inc();
     job->migrating = false;
     job->active = false;
     trace(fmtTime(client_.simulator().now()) + " fail job=" + job->jobId +
@@ -269,7 +269,7 @@ void MigrationCoordinator::resubmit(const std::shared_ptr<TrackedJob>& job,
 
 void MigrationCoordinator::resubmitCold(const std::shared_ptr<TrackedJob>& job,
                                         const std::string& reason) {
-  ++counters_.coldFallbacks;
+  counters_->coldFallbacks.inc();
   trace(fmtTime(client_.simulator().now()) + " cold job=" + job->jobId +
         " reason=" + reason);
   LIDC_FR_EVENT(recorder_, kWarn, "migrate",
@@ -286,7 +286,7 @@ void MigrationCoordinator::settleResubmit(
     bool restored, Result<core::SubmitResult> ack) {
   job->migrating = false;
   if (!ack) {
-    ++counters_.failed;
+    counters_->failed.inc();
     job->active = false;
     trace(fmtTime(client_.simulator().now()) + " fail job=" + job->jobId +
           " reason=resubmit: " + ack.status().toString());
@@ -302,7 +302,7 @@ void MigrationCoordinator::settleResubmit(
   job->statusName = ndn::Name(ack->statusName);
   job->consecutiveFailures = 0;
   ++job->migrations;
-  ++counters_.completed;
+  counters_->completed.inc();
   trace(fmtTime(client_.simulator().now()) + " migrate job=" + oldJobId +
         " from=" + oldCluster + " to=" + job->cluster +
         " newjob=" + job->jobId + (restored ? "" : " cold"));
@@ -365,14 +365,12 @@ void MigrationCoordinator::trace(const std::string& line) {
 void MigrationCoordinator::attachTelemetry(telemetry::MetricsRegistry& registry,
                                            telemetry::Tracer* tracer) {
   tracer_ = tracer;
-  registry.registerCollector([this, &registry] {
-    registry.counter("lidc_migrations_planned_total").set(counters_.planned);
-    registry.counter("lidc_migrations_completed_total")
-        .set(counters_.completed);
-    registry.counter("lidc_migrations_failed_total").set(counters_.failed);
-    registry.counter("lidc_migrations_cold_fallbacks_total")
-        .set(counters_.coldFallbacks);
-  });
+  registry.adopt("lidc_migrations_planned_total", {}, {counters_, &counters_->planned});
+  registry.adopt("lidc_migrations_completed_total", {},
+                 {counters_, &counters_->completed});
+  registry.adopt("lidc_migrations_failed_total", {}, {counters_, &counters_->failed});
+  registry.adopt("lidc_migrations_cold_fallbacks_total", {},
+                 {counters_, &counters_->coldFallbacks});
 }
 
 telemetry::AlertEngine::ValueSource migrationValueSource(

@@ -57,10 +57,10 @@ struct MigrationOptions {
 };
 
 struct MigrationCounters {
-  std::uint64_t planned = 0;    // migrations triggered
-  std::uint64_t completed = 0;  // resumed on a new cluster
-  std::uint64_t failed = 0;     // no target / no checkpoint+resubmit failed
-  std::uint64_t coldFallbacks = 0;  // resubmitted without a checkpoint
+  telemetry::Counter planned;    // migrations triggered
+  telemetry::Counter completed;  // resumed on a new cluster
+  telemetry::Counter failed;     // no target / no checkpoint+resubmit failed
+  telemetry::Counter coldFallbacks;  // resubmitted without a checkpoint
 };
 
 class MigrationCoordinator {
@@ -97,7 +97,7 @@ class MigrationCoordinator {
   void observeBreaker(const std::string& cluster, bool open);
 
   [[nodiscard]] const MigrationCounters& counters() const noexcept {
-    return counters_;
+    return *counters_;
   }
   /// Jobs still being monitored (non-terminal).
   [[nodiscard]] std::size_t activeJobs() const;
@@ -117,7 +117,7 @@ class MigrationCoordinator {
                      const std::string& targetCluster)>
       routeInstaller;
 
-  /// Syncs lidc_migrations_{planned,completed,failed}_total and
+  /// Exports lidc_migrations_{planned,completed,failed}_total and
   /// lidc_migrations_cold_fallbacks_total into `registry`; with a
   /// tracer, each completed migration records a "migration" span from
   /// plan to resumed ack.
@@ -179,7 +179,7 @@ class MigrationCoordinator {
   std::map<std::string, bool> breaker_open_;
   telemetry::FlightRecorder* recorder_ = nullptr;
   telemetry::Tracer* tracer_ = nullptr;
-  MigrationCounters counters_;
+  std::shared_ptr<MigrationCounters> counters_ = std::make_shared<MigrationCounters>();
   bool probe_pending_ = false;
   std::string log_;
 };

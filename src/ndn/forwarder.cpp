@@ -68,53 +68,42 @@ Strategy& Forwarder::findStrategy(const Name& name) {
 
 void Forwarder::attachTelemetry(telemetry::MetricsRegistry& registry,
                                 telemetry::Tracer* tracer) {
-  telemetry_ = std::make_unique<TelemetryHooks>();
+  tracer_ = tracer;
   const telemetry::Labels labels{{"node", name_}};
-  auto mirror = [&](const char* metric, std::uint64_t seed) {
-    telemetry::Counter& c = registry.counter(metric, labels);
-    c.set(seed);  // carry over increments from before the attach
-    return &c;
+  auto adopt = [&](const char* metric, telemetry::Counter& counter) {
+    registry.adopt(metric, labels, {counters_, &counter});
   };
-  telemetry_->inInterests = mirror("lidc_forwarder_in_interests", counters_.nInInterests);
-  telemetry_->outInterests = mirror("lidc_forwarder_out_interests", counters_.nOutInterests);
-  telemetry_->inData = mirror("lidc_forwarder_in_data", counters_.nInData);
-  telemetry_->outData = mirror("lidc_forwarder_out_data", counters_.nOutData);
-  telemetry_->csHits = mirror("lidc_forwarder_cs_hits", counters_.nCsHits);
-  telemetry_->csMisses = mirror("lidc_forwarder_cs_misses", counters_.nCsMisses);
-  telemetry_->satisfied = mirror("lidc_forwarder_satisfied", counters_.nSatisfied);
-  telemetry_->unsatisfied = mirror("lidc_forwarder_unsatisfied", counters_.nUnsatisfied);
-  telemetry_->duplicateNonce =
-      mirror("lidc_forwarder_duplicate_nonce", counters_.nDuplicateNonce);
-  telemetry_->noRoute = mirror("lidc_forwarder_no_route", counters_.nNoRoute);
-  telemetry_->unsolicitedData =
-      mirror("lidc_forwarder_unsolicited_data", counters_.nUnsolicitedData);
-  telemetry_->integrityDrops =
-      mirror("lidc_integrity_drops_total", counters_.nIntegrityDrops);
-  telemetry_->tracer = tracer;
+  ForwarderCounters& c = *counters_;
+  adopt("lidc_forwarder_in_interests", c.nInInterests);
+  adopt("lidc_forwarder_out_interests", c.nOutInterests);
+  adopt("lidc_forwarder_in_data", c.nInData);
+  adopt("lidc_forwarder_out_data", c.nOutData);
+  adopt("lidc_forwarder_cs_hits", c.nCsHits);
+  adopt("lidc_forwarder_cs_misses", c.nCsMisses);
+  adopt("lidc_forwarder_satisfied", c.nSatisfied);
+  adopt("lidc_forwarder_unsatisfied", c.nUnsatisfied);
+  adopt("lidc_forwarder_duplicate_nonce", c.nDuplicateNonce);
+  adopt("lidc_forwarder_no_route", c.nNoRoute);
+  adopt("lidc_forwarder_unsolicited_data", c.nUnsolicitedData);
+  adopt("lidc_integrity_drops_total", c.nIntegrityDrops);
 
-  // Per-face counters and table occupancy change too often to mirror
-  // live; a collector syncs the aggregates at snapshot time.
-  registry.registerCollector([this, &registry, labels] {
-    FaceCounters total;
-    for (const auto& [id, face] : faces_) {
-      const FaceCounters& c = face->counters();
-      total.nInInterests += c.nInInterests;
-      total.nOutInterests += c.nOutInterests;
-      total.nInData += c.nInData;
-      total.nOutData += c.nOutData;
-      total.nInNacks += c.nInNacks;
-      total.nOutNacks += c.nOutNacks;
-      total.nInBytes += c.nInBytes;
-      total.nOutBytes += c.nOutBytes;
+  // Per-node sums over the faces' plain counters, and the CS/PIT's own
+  // counts and sizes, are derived at snapshot time.
+  collector_ = registry.registerCollector([this, &registry, labels] {
+    using F = FaceCounters;
+    for (const auto& [metric, field] :
+         {std::pair{"lidc_face_in_interests", &F::nInInterests},
+          {"lidc_face_out_interests", &F::nOutInterests},
+          {"lidc_face_in_data", &F::nInData},
+          {"lidc_face_out_data", &F::nOutData},
+          {"lidc_face_in_nacks", &F::nInNacks},
+          {"lidc_face_out_nacks", &F::nOutNacks},
+          {"lidc_face_in_bytes", &F::nInBytes},
+          {"lidc_face_out_bytes", &F::nOutBytes}}) {
+      std::uint64_t sum = 0;
+      for (const auto& [id, face] : faces_) sum += face->counters().*field;
+      registry.counter(metric, labels).set(sum);
     }
-    registry.counter("lidc_face_in_interests", labels).set(total.nInInterests);
-    registry.counter("lidc_face_out_interests", labels).set(total.nOutInterests);
-    registry.counter("lidc_face_in_data", labels).set(total.nInData);
-    registry.counter("lidc_face_out_data", labels).set(total.nOutData);
-    registry.counter("lidc_face_in_nacks", labels).set(total.nInNacks);
-    registry.counter("lidc_face_out_nacks", labels).set(total.nOutNacks);
-    registry.counter("lidc_face_in_bytes", labels).set(total.nInBytes);
-    registry.counter("lidc_face_out_bytes", labels).set(total.nOutBytes);
     registry.gauge("lidc_cs_size", labels).set(static_cast<double>(cs_.size()));
     registry.gauge("lidc_pit_size", labels).set(static_cast<double>(pit_.size()));
     registry.counter("lidc_cs_hits", labels).set(cs_.hits());
@@ -158,13 +147,12 @@ void Forwarder::attributeData(Face& outFace, const Interest& interest,
 
 void Forwarder::hopInstant(const Interest& interest, const char* decision,
                            telemetry::SpanAttrs extra) {
-  if (!telemetry_ || telemetry_->tracer == nullptr) return;
+  if (tracer_ == nullptr) return;
   const telemetry::TraceContext ctx = interest.traceContext();
   if (!ctx) return;
   telemetry::SpanAttrs attrs{{"decision", decision}};
   attrs.insert(attrs.end(), extra.begin(), extra.end());
-  telemetry_->tracer->instant("forwarder-hop", "forwarder:" + name_, ctx,
-                              std::move(attrs));
+  tracer_->instant("forwarder-hop", "forwarder:" + name_, ctx, std::move(attrs));
 }
 
 void Forwarder::installHandlers(Face& face) {
@@ -180,8 +168,7 @@ void Forwarder::installHandlers(Face& face) {
 }
 
 void Forwarder::onIncomingInterest(Face& inFace, const Interest& interest) {
-  ++counters_.nInInterests;
-  if (telemetry_) telemetry_->inInterests->inc();
+  counters_->nInInterests.inc();
   LIDC_LOG(kTrace, "forwarder") << name_ << " <- Interest " << interest.name().toUri()
                                 << " via face " << inFace.id();
 
@@ -196,8 +183,7 @@ void Forwarder::onIncomingInterest(Face& inFace, const Interest& interest) {
   // Dead Nonce List: a nonce that looped back after its PIT entry was
   // consumed is still a duplicate.
   if (dnl_.has(nameHash, interest.nonce())) {
-    ++counters_.nDuplicateNonce;
-    if (telemetry_) telemetry_->duplicateNonce->inc();
+    counters_->nDuplicateNonce.inc();
     hopInstant(interest, "nack-duplicate");
     inFace.sendNack(Nack(interest, NackReason::kDuplicate));
     return;
@@ -207,8 +193,7 @@ void Forwarder::onIncomingInterest(Face& inFace, const Interest& interest) {
 
   // Loop detection by nonce.
   if (!isNew && entry->isDuplicateNonce(interest.nonce(), inFace.id())) {
-    ++counters_.nDuplicateNonce;
-    if (telemetry_) telemetry_->duplicateNonce->inc();
+    counters_->nDuplicateNonce.inc();
     hopInstant(interest, "nack-duplicate");
     inFace.sendNack(Nack(interest, NackReason::kDuplicate));
     return;
@@ -216,18 +201,15 @@ void Forwarder::onIncomingInterest(Face& inFace, const Interest& interest) {
 
   // Content Store lookup.
   if (auto cached = cs_.find(interest, nameHash, sim_.now())) {
-    ++counters_.nCsHits;
-    if (telemetry_) telemetry_->csHits->inc();
+    counters_->nCsHits.inc();
     hopInstant(interest, "cs-hit");
     if (isNew) pit_.erase(entry);
-    ++counters_.nOutData;
-    if (telemetry_) telemetry_->outData->inc();
+    counters_->nOutData.inc();
     attributeData(inFace, interest, *cached, /*fromCache=*/true);
     inFace.sendData(*cached);
     return;
   }
-  ++counters_.nCsMisses;
-  if (telemetry_) telemetry_->csMisses->inc();
+  counters_->nCsMisses.inc();
 
   const sim::Time expiry = sim_.now() + interest.lifetime();
   entry->insertInRecord(inFace.id(), interest.nonce(), expiry);
@@ -249,8 +231,7 @@ void Forwarder::onIncomingInterest(Face& inFace, const Interest& interest) {
 }
 
 void Forwarder::onIncomingData(Face& inFace, const Data& data) {
-  ++counters_.nInData;
-  if (telemetry_) telemetry_->inData->inc();
+  counters_->nInData.inc();
   LIDC_LOG(kTrace, "forwarder") << name_ << " <- Data " << data.name().toUri()
                                 << " via face " << inFace.id();
 
@@ -260,8 +241,7 @@ void Forwarder::onIncomingData(Face& inFace, const Data& data) {
   // consumer sees a plain timeout and retries, and no cache along the
   // path ever stores the bad copy.
   if (verify_data_ && data.hasSignature() && !data.verify()) {
-    ++counters_.nIntegrityDrops;
-    if (telemetry_) telemetry_->integrityDrops->inc();
+    counters_->nIntegrityDrops.inc();
     LIDC_FR_EVENT(recorder_, kWarn, "forwarder",
                   name_ + " integrity-drop " + data.name().toUri());
     return;
@@ -270,8 +250,7 @@ void Forwarder::onIncomingData(Face& inFace, const Data& data) {
   std::size_t nameHash = 0;
   auto matches = pit_.findMatches(data, nameHash);
   if (matches.empty()) {
-    ++counters_.nUnsolicitedData;
-    if (telemetry_) telemetry_->unsolicitedData->inc();
+    counters_->nUnsolicitedData.inc();
     return;  // unsolicited Data is dropped, as in NFD's default policy
   }
 
@@ -283,15 +262,13 @@ void Forwarder::onIncomingData(Face& inFace, const Data& data) {
     for (const auto& in : entry->inRecords()) {
       if (in.face == inFace.id()) continue;
       if (auto* downstream = face(in.face); downstream != nullptr) {
-        ++counters_.nOutData;
-        if (telemetry_) telemetry_->outData->inc();
+        counters_->nOutData.inc();
         attributeData(*downstream, entry->interest(), data,
                       /*fromCache=*/false);
         downstream->sendData(data);
       }
     }
-    ++counters_.nSatisfied;
-    if (telemetry_) telemetry_->satisfied->inc();
+    counters_->nSatisfied.inc();
     recordDeadNonces(*entry);
     pit_.erase(entry);
   }
@@ -317,8 +294,7 @@ void Forwarder::onIncomingNack(Face& inFace, const Nack& nack) {
 void Forwarder::onInterestExpiry(std::weak_ptr<PitEntry> weakEntry) {
   auto entry = weakEntry.lock();
   if (!entry) return;
-  ++counters_.nUnsatisfied;
-  if (telemetry_) telemetry_->unsatisfied->inc();
+  counters_->nUnsatisfied.inc();
   LIDC_FR_EVENT(recorder_, kWarn, "forwarder",
                 name_ + " unsatisfied " + entry->interest().name().toUri());
   hopInstant(entry->interest(), "expire");
@@ -336,8 +312,7 @@ void Forwarder::sendInterest(const std::shared_ptr<PitEntry>& entry, FaceId upst
   if (interest.hopLimit() > 0) interest.setHopLimit(interest.hopLimit() - 1);
 
   entry->insertOutRecord(upstream, interest.nonce(), sim_.now());
-  ++counters_.nOutInterests;
-  if (telemetry_) telemetry_->outInterests->inc();
+  counters_->nOutInterests.inc();
   hopInstant(interest, "forward", {{"face", std::to_string(upstream)}});
   LIDC_LOG(kTrace, "forwarder") << name_ << " -> Interest " << interest.name().toUri()
                                 << " via face " << upstream;
@@ -346,8 +321,7 @@ void Forwarder::sendInterest(const std::shared_ptr<PitEntry>& entry, FaceId upst
 
 void Forwarder::sendNackDownstream(const std::shared_ptr<PitEntry>& entry,
                                    NackReason reason) {
-  ++counters_.nNoRoute;
-  if (telemetry_) telemetry_->noRoute->inc();
+  counters_->nNoRoute.inc();
   LIDC_FR_EVENT(recorder_, kWarn, "forwarder",
                 name_ + " nack " + std::string(nackReasonName(reason)) + " " +
                     entry->interest().name().toUri());

@@ -25,22 +25,23 @@
 
 namespace lidc::ndn {
 
-/// Aggregate forwarder counters.
+/// Aggregate forwarder counters, exported as lidc_forwarder_* once
+/// telemetry is attached.
 struct ForwarderCounters {
-  std::uint64_t nInInterests = 0;
-  std::uint64_t nOutInterests = 0;
-  std::uint64_t nInData = 0;
-  std::uint64_t nOutData = 0;
-  std::uint64_t nCsHits = 0;
-  std::uint64_t nCsMisses = 0;
-  std::uint64_t nSatisfied = 0;
-  std::uint64_t nUnsatisfied = 0;
-  std::uint64_t nDuplicateNonce = 0;
-  std::uint64_t nNoRoute = 0;
-  std::uint64_t nUnsolicitedData = 0;
+  telemetry::Counter nInInterests;
+  telemetry::Counter nOutInterests;
+  telemetry::Counter nInData;
+  telemetry::Counter nOutData;
+  telemetry::Counter nCsHits;
+  telemetry::Counter nCsMisses;
+  telemetry::Counter nSatisfied;
+  telemetry::Counter nUnsatisfied;
+  telemetry::Counter nDuplicateNonce;
+  telemetry::Counter nNoRoute;
+  telemetry::Counter nUnsolicitedData;
   /// Incoming Data dropped because its signature failed verification
   /// (poisoned packets never reach the CS or downstream consumers).
-  std::uint64_t nIntegrityDrops = 0;
+  telemetry::Counter nIntegrityDrops;
 };
 
 class Forwarder {
@@ -74,7 +75,9 @@ class Forwarder {
   [[nodiscard]] ContentStore& cs() noexcept { return cs_; }
   [[nodiscard]] DeadNonceList& deadNonceList() noexcept { return dnl_; }
   [[nodiscard]] RttMeasurements& measurements() noexcept { return measurements_; }
-  [[nodiscard]] const ForwarderCounters& counters() const noexcept { return counters_; }
+  [[nodiscard]] const ForwarderCounters& counters() const noexcept {
+    return *counters_;
+  }
 
   /// Data-plane integrity enforcement (on by default): incoming Data
   /// whose signature fails verification is dropped and counted instead
@@ -90,17 +93,15 @@ class Forwarder {
   }
 
   // --- telemetry ---
-  /// Mirrors every ForwarderCounters increment into `registry` as
-  /// lidc_forwarder_*{node=<name>} (live, one extra relaxed add per
-  /// event), registers a collector that syncs the per-face aggregate
-  /// FaceCounters plus CS/PIT gauges at snapshot time, and — when a
-  /// tracer is given — records per-hop "forwarder-hop" instants for
-  /// Interests carrying a TraceContext. The forwarder must outlive any
-  /// snapshot of the registry.
+  /// Exports ForwarderCounters into `registry` as
+  /// lidc_forwarder_*{node=<name>}, registers a collector that sums the
+  /// per-face FaceCounters and reads the CS/PIT at snapshot time, and —
+  /// when a tracer is given — records per-hop "forwarder-hop" instants
+  /// for Interests carrying a TraceContext.
   void attachTelemetry(telemetry::MetricsRegistry& registry,
                        telemetry::Tracer* tracer = nullptr);
   [[nodiscard]] telemetry::Tracer* tracer() noexcept {
-    return telemetry_ ? telemetry_->tracer : nullptr;
+    return tracer_;
   }
 
   /// Records forwarding failures (unsatisfied expiry, no-route nacks)
@@ -141,24 +142,6 @@ class Forwarder {
   void attributeData(Face& outFace, const Interest& interest,
                      const Data& data, bool fromCache);
 
-  /// Live-mirror handles into an attached MetricsRegistry; null when
-  /// telemetry is not attached (the common fast path).
-  struct TelemetryHooks {
-    telemetry::Counter* inInterests = nullptr;
-    telemetry::Counter* outInterests = nullptr;
-    telemetry::Counter* inData = nullptr;
-    telemetry::Counter* outData = nullptr;
-    telemetry::Counter* csHits = nullptr;
-    telemetry::Counter* csMisses = nullptr;
-    telemetry::Counter* satisfied = nullptr;
-    telemetry::Counter* unsatisfied = nullptr;
-    telemetry::Counter* duplicateNonce = nullptr;
-    telemetry::Counter* noRoute = nullptr;
-    telemetry::Counter* unsolicitedData = nullptr;
-    telemetry::Counter* integrityDrops = nullptr;
-    telemetry::Tracer* tracer = nullptr;
-  };
-
   /// Records one "forwarder-hop" instant for a traced Interest.
   void hopInstant(const Interest& interest, const char* decision,
                   telemetry::SpanAttrs extra = {});
@@ -172,9 +155,9 @@ class Forwarder {
   ContentStore cs_;
   DeadNonceList dnl_;
   RttMeasurements measurements_;
-  ForwarderCounters counters_;
+  std::shared_ptr<ForwarderCounters> counters_ = std::make_shared<ForwarderCounters>();
   bool verify_data_ = true;
-  std::unique_ptr<TelemetryHooks> telemetry_;
+  telemetry::Tracer* tracer_ = nullptr;
   telemetry::FlightRecorder* recorder_ = nullptr;
   telemetry::FlowAccountant* flow_ = nullptr;
   // Strategy-choice table; the root "/" choice is always first. It holds
@@ -184,6 +167,7 @@ class Forwarder {
     std::unique_ptr<Strategy> strategy;
   };
   std::vector<StrategyChoice> strategies_;
+  telemetry::CollectorHandle collector_;
 };
 
 }  // namespace lidc::ndn

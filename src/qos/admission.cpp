@@ -38,6 +38,7 @@ AdmissionController::TenantState& AdmissionController::stateFor(
   if (inserted) {
     st.spec = &spec;
     st.bucket = TokenBucket(spec.quota.submitRatePerSec, spec.quota.submitBurst);
+    if (registry_ != nullptr) exportTenant(spec.id, st);
   }
   return st;
 }
@@ -67,7 +68,9 @@ void AdmissionController::appendLog(std::string_view verb,
 void AdmissionController::reject(TenantState& st, const std::string& id,
                                  const std::string& reason,
                                  const std::string& tag) {
-  ++st.rejects[reason];
+  auto [it, inserted] = st.counters->rejects.try_emplace(reason);
+  it->second.inc();
+  if (inserted && registry_ != nullptr) exportReject(id, st, reason);
   appendLog("reject", id, "reason=" + reason + " tag=" + tag);
   LIDC_FR_EVENT(recorder_, kWarn, "qos",
                 "reject tenant=" + id + " reason=" + reason + " tag=" + tag);
@@ -77,7 +80,7 @@ AdmitDecision AdmissionController::offer(AdmissionJob job) {
   const sim::Time now = sim_.now();
   const TenantSpec* spec = tenants_.find(job.tenant);
   if (spec == nullptr) {
-    ++rejected_unknown_;
+    rejected_unknown_->inc();
     // Attacker-controlled ids get no per-tenant state and a bounded log
     // line: an unknown-tenant flood must not grow memory per name.
     std::string shown = job.tenant.substr(0, 48);
@@ -151,7 +154,7 @@ void AdmissionController::dropExpired(const std::string& id, TenantState& st) {
     --queued_total_;
     st.queuedCpu -= std::min(st.queuedCpu, entry.job.cpuMillicores);
     st.queuedMem -= std::min(st.queuedMem, entry.job.memoryBytes);
-    ++st.expired;
+    st.counters->expired.inc();
     appendLog("expire", id, "tag=" + entry.job.tag);
     LIDC_FR_EVENT(recorder_, kWarn, "qos",
                   "expire tenant=" + id + " tag=" + entry.job.tag);
@@ -168,7 +171,7 @@ void AdmissionController::launchFront(const std::string& id, TenantState& st) {
   ++st.inFlightJobs;
   st.inFlightCpu += entry.job.cpuMillicores;
   st.inFlightMem += entry.job.memoryBytes;
-  ++st.admitted;
+  st.counters->admitted.inc();
   const std::int64_t waitUs =
       (sim_.now() - entry.enqueuedAt).toNanos() / 1000;
   if (registry_ != nullptr) {
@@ -265,7 +268,7 @@ bool AdmissionController::tryPreemptFor(const TenantSpec& incoming) {
   --queued_total_;
   victim->queuedCpu -= std::min(victim->queuedCpu, entry.job.cpuMillicores);
   victim->queuedMem -= std::min(victim->queuedMem, entry.job.memoryBytes);
-  ++victim->preempted;
+  victim->counters->preempted.inc();
   appendLog("preempt", victimId, "by=" + incoming.id + " tag=" + entry.job.tag);
   LIDC_FR_EVENT(recorder_, kWarn, "qos",
                 "preempt tenant=" + victimId + " by=" + incoming.id + " tag=" +
@@ -298,7 +301,7 @@ std::uint64_t AdmissionController::jobsInFlight(
 std::uint64_t AdmissionController::admitted(
     const std::string& tenant) const noexcept {
   const TenantState* st = stateOf(tenant);
-  return st == nullptr ? 0 : st->admitted;
+  return st == nullptr ? 0 : st->counters->admitted;
 }
 
 std::uint64_t AdmissionController::rejected(
@@ -306,7 +309,7 @@ std::uint64_t AdmissionController::rejected(
   const TenantState* st = stateOf(tenant);
   if (st == nullptr) return 0;
   std::uint64_t total = 0;
-  for (const auto& [reason, count] : st->rejects) total += count;
+  for (const auto& [reason, count] : st->counters->rejects) total += count;
   return total;
 }
 
@@ -314,50 +317,58 @@ std::uint64_t AdmissionController::rejected(
     const std::string& tenant, const std::string& reason) const noexcept {
   const TenantState* st = stateOf(tenant);
   if (st == nullptr) return 0;
-  auto it = st->rejects.find(reason);
-  return it == st->rejects.end() ? 0 : it->second;
+  auto it = st->counters->rejects.find(reason);
+  return it == st->counters->rejects.end() ? 0 : it->second.value();
 }
 
 std::uint64_t AdmissionController::preempted(
     const std::string& tenant) const noexcept {
   const TenantState* st = stateOf(tenant);
-  return st == nullptr ? 0 : st->preempted;
+  return st == nullptr ? 0 : st->counters->preempted;
 }
 
 std::uint64_t AdmissionController::expired(
     const std::string& tenant) const noexcept {
   const TenantState* st = stateOf(tenant);
-  return st == nullptr ? 0 : st->expired;
+  return st == nullptr ? 0 : st->counters->expired;
+}
+
+void AdmissionController::exportTenant(const std::string& id,
+                                       const TenantState& st) {
+  const telemetry::Labels labels{{"cluster", cluster_}, {"tenant", id}};
+  TenantState::Counters& c = *st.counters;
+  registry_->adopt("lidc_qos_admitted_total", labels, {st.counters, &c.admitted});
+  registry_->adopt("lidc_qos_preempted_total", labels, {st.counters, &c.preempted});
+  registry_->adopt("lidc_qos_expired_total", labels, {st.counters, &c.expired});
+  for (const auto& [reason, count] : c.rejects) exportReject(id, st, reason);
+}
+
+void AdmissionController::exportReject(const std::string& id, const TenantState& st,
+                                       const std::string& reason) {
+  registry_->adopt("lidc_qos_rejected_total",
+                   {{"cluster", cluster_}, {"reason", reason}, {"tenant", id}},
+                   {st.counters, &st.counters->rejects.at(reason)});
 }
 
 void AdmissionController::attachTelemetry(telemetry::MetricsRegistry& registry) {
   registry_ = &registry;
-  registry.registerCollector([this, &registry] {
+  for (const auto& [id, st] : states_) exportTenant(id, st);
+  registry.adopt("lidc_qos_rejected_total",
+                 {{"cluster", cluster_},
+                  {"reason", "unknown-tenant"},
+                  {"tenant", "unknown"}},
+                 rejected_unknown_);
+  collector_ = registry.registerCollector([this, &registry] {
     double totalDepth = 0.0;
     for (const auto& [id, st] : states_) {
       const telemetry::Labels labels{{"cluster", cluster_}, {"tenant", id}};
-      registry.counter("lidc_qos_admitted_total", labels).set(st.admitted);
-      registry.counter("lidc_qos_preempted_total", labels).set(st.preempted);
-      registry.counter("lidc_qos_expired_total", labels).set(st.expired);
       registry.gauge("lidc_qos_queue_depth", labels)
           .set(static_cast<double>(st.queue.size()));
       registry.gauge("lidc_qos_jobs_in_flight", labels)
           .set(static_cast<double>(st.inFlightJobs));
-      for (const auto& [reason, count] : st.rejects) {
-        registry
-            .counter("lidc_qos_rejected_total",
-                     {{"cluster", cluster_}, {"reason", reason}, {"tenant", id}})
-            .set(count);
-      }
       totalDepth += static_cast<double>(st.queue.size());
     }
-    registry
-        .counter("lidc_qos_rejected_total", {{"cluster", cluster_},
-                                             {"reason", "unknown-tenant"},
-                                             {"tenant", "unknown"}})
-        .set(rejected_unknown_);
-    registry.gauge("lidc_qos_queue_depth", {{"cluster", cluster_}})
-        .set(totalDepth);
+    registry.gauge("lidc_qos_queue_depth", {{"cluster", cluster_}}).set(totalDepth);
   });
 }
 

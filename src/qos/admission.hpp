@@ -122,17 +122,16 @@ class AdmissionController {
   [[nodiscard]] std::uint64_t preempted(const std::string& tenant) const noexcept;
   [[nodiscard]] std::uint64_t expired(const std::string& tenant) const noexcept;
   [[nodiscard]] std::uint64_t rejectedUnknownTenant() const noexcept {
-    return rejected_unknown_;
+    return *rejected_unknown_;
   }
 
   /// Deterministic decision log ("t=..s enqueue tenant=... tag=..."
   /// lines); byte-identical across same-seed runs.
   [[nodiscard]] const std::string& decisionLog() const noexcept { return log_; }
 
-  /// Mirrors admission state into `registry` as per-tenant labeled
-  /// families (lidc_qos_admitted_total, lidc_qos_rejected_total{reason},
-  /// lidc_qos_queue_depth, lidc_qos_jobs_in_flight, ...) and starts
-  /// feeding the per-tenant lidc_qos_queue_wait_us histogram.
+  /// Exports per-tenant admission counters (lidc_qos_admitted_total,
+  /// lidc_qos_rejected_total{reason}, ...) and queue gauges into
+  /// `registry`, and starts feeding the lidc_qos_queue_wait_us histogram.
   void attachTelemetry(telemetry::MetricsRegistry& registry);
 
  private:
@@ -157,10 +156,13 @@ class AdmissionController {
     std::uint64_t inFlightJobs = 0;
     std::uint64_t inFlightCpu = 0;
     std::uint64_t inFlightMem = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t preempted = 0;
-    std::uint64_t expired = 0;
-    std::map<std::string, std::uint64_t> rejects;  // reason -> count
+    struct Counters {
+      telemetry::Counter admitted;
+      telemetry::Counter preempted;
+      telemetry::Counter expired;
+      std::map<std::string, telemetry::Counter> rejects;  // by reason
+    };
+    std::shared_ptr<Counters> counters = std::make_shared<Counters>();
   };
 
   TenantState& stateFor(const TenantSpec& spec);
@@ -177,6 +179,10 @@ class AdmissionController {
   void reject(TenantState& st, const std::string& id, const std::string& reason,
               const std::string& tag);
   void armTimer();
+  /// Adopts one tenant's counters (or one reject reason's) into registry_.
+  void exportTenant(const std::string& id, const TenantState& st);
+  void exportReject(const std::string& id, const TenantState& st,
+                    const std::string& reason);
   void appendLog(std::string_view verb, const std::string& tenant,
                  const std::string& detail);
 
@@ -192,10 +198,12 @@ class AdmissionController {
   std::map<std::string, TenantState> states_;  // ordered: deterministic
   std::deque<std::string> ring_;               // active tenants, DRR order
   std::size_t queued_total_ = 0;
-  std::uint64_t rejected_unknown_ = 0;
+  std::shared_ptr<telemetry::Counter> rejected_unknown_ =
+      std::make_shared<telemetry::Counter>();
   bool draining_ = false;
   bool timer_armed_ = false;
   std::string log_;
+  telemetry::CollectorHandle collector_;
 };
 
 }  // namespace lidc::qos

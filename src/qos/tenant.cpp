@@ -24,6 +24,7 @@ Status TenantRegistry::registerTenant(TenantSpec spec) {
     return Status::AlreadyExists("tenant '" + spec.id + "' already registered");
   }
   it->second.spec = std::move(spec);
+  if (registry_ != nullptr) exportTenant(it->first, it->second);
   return Status::Ok();
 }
 
@@ -46,36 +47,39 @@ Status TenantRegistry::chargePublish(const std::string& id, std::uint64_t bytes)
   }
   Entry& entry = it->second;
   const std::uint64_t budget = entry.spec.quota.maxPublishBytes;
-  if (budget != 0 && entry.publishedBytes + bytes > budget) {
-    ++entry.publishRejects;
+  PublishCounters& publish = *entry.publish;
+  if (budget != 0 && publish.bytes + bytes > budget) {
+    publish.rejects.inc();
     return Status::ResourceExhausted(
         "tenant '" + id + "' publish quota exhausted (" +
-        std::to_string(entry.publishedBytes + bytes) + " > " +
+        std::to_string(publish.bytes + bytes) + " > " +
         std::to_string(budget) + " bytes)");
   }
-  entry.publishedBytes += bytes;
+  publish.bytes.inc(bytes);
   return Status::Ok();
 }
 
 std::uint64_t TenantRegistry::publishedBytes(const std::string& id) const noexcept {
   auto it = tenants_.find(id);
-  return it == tenants_.end() ? 0 : it->second.publishedBytes;
+  return it == tenants_.end() ? 0 : it->second.publish->bytes;
 }
 
 std::uint64_t TenantRegistry::publishRejects(const std::string& id) const noexcept {
   auto it = tenants_.find(id);
-  return it == tenants_.end() ? 0 : it->second.publishRejects;
+  return it == tenants_.end() ? 0 : it->second.publish->rejects;
+}
+
+void TenantRegistry::exportTenant(const std::string& id, const Entry& entry) {
+  const telemetry::Labels labels{{"tenant", id}};
+  registry_->adopt("lidc_qos_publish_bytes", labels,
+                   {entry.publish, &entry.publish->bytes});
+  registry_->adopt("lidc_qos_publish_rejected_total", labels,
+                   {entry.publish, &entry.publish->rejects});
 }
 
 void TenantRegistry::attachTelemetry(telemetry::MetricsRegistry& registry) {
-  registry.registerCollector([this, &registry] {
-    for (const auto& [id, entry] : tenants_) {
-      registry.counter("lidc_qos_publish_bytes", {{"tenant", id}})
-          .set(entry.publishedBytes);
-      registry.counter("lidc_qos_publish_rejected_total", {{"tenant", id}})
-          .set(entry.publishRejects);
-    }
-  });
+  registry_ = &registry;
+  for (const auto& [id, entry] : tenants_) exportTenant(id, entry);
 }
 
 }  // namespace lidc::qos

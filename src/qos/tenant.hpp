@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -62,20 +63,27 @@ class TenantRegistry {
   [[nodiscard]] std::uint64_t publishedBytes(const std::string& id) const noexcept;
   [[nodiscard]] std::uint64_t publishRejects(const std::string& id) const noexcept;
 
-  /// Mirrors per-tenant publish accounting into `registry` as
-  /// lidc_qos_publish_bytes / lidc_qos_publish_rejected_total.
+  /// Exports per-tenant publish accounting into `registry` as
+  /// lidc_qos_publish_bytes / lidc_qos_publish_rejected_total, for
+  /// tenants registered before and after the attach.
   void attachTelemetry(telemetry::MetricsRegistry& registry);
 
  private:
+  struct PublishCounters {
+    telemetry::Counter bytes;
+    telemetry::Counter rejects;
+  };
   struct Entry {
     TenantSpec spec;
-    std::uint64_t publishedBytes = 0;
-    std::uint64_t publishRejects = 0;
+    std::shared_ptr<PublishCounters> publish = std::make_shared<PublishCounters>();
   };
 
-  // Ordered so iteration (telemetry mirrors, preemption scans) is
+  void exportTenant(const std::string& id, const Entry& entry);
+
+  // Ordered so iteration (telemetry exports, preemption scans) is
   // deterministic across runs.
   std::map<std::string, Entry> tenants_;
+  telemetry::MetricsRegistry* registry_ = nullptr;
 };
 
 }  // namespace lidc::qos

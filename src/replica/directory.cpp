@@ -37,8 +37,6 @@ ReplicaDirectory::ReplicaDirectory(ndn::Forwarder& forwarder)
                       kReplicaPrefix, /*stream=*/"", kReplicaMapComponent,
                       telemetry::ScrapeTiming{}) {}
 
-ReplicaDirectory::~ReplicaDirectory() { *self_ = nullptr; }
-
 void ReplicaDirectory::watchCluster(const std::string& cluster) {
   watch(cluster, views_[cluster]);
 }
@@ -95,21 +93,19 @@ std::vector<std::string> ReplicaDirectory::knownDatasets() const {
 }
 
 void ReplicaDirectory::attachTelemetry(telemetry::MetricsRegistry& registry) {
-  registry.registerCollector([self = self_, &registry] {
-    const ReplicaDirectory* directory = *self;
-    if (directory == nullptr) return;
-    const telemetry::ScrapeCounters& counters = directory->counters();
-    registry.counter("lidc_replica_directory_scrapes_total")
-        .set(static_cast<double>(counters.scrapesStarted));
-    registry.counter("lidc_replica_directory_scrape_failures_total")
-        .set(static_cast<double>(counters.scrapesFailed));
-    registry.counter("lidc_replica_directory_manifest_reuses_total")
-        .set(static_cast<double>(counters.manifestReuses));
-    registry.counter("lidc_replica_directory_snapshots_fetched_total")
-        .set(static_cast<double>(counters.snapshotsFetched));
+  using telemetry::ScrapeCounters;
+  adoptCounter(registry, "lidc_replica_directory_scrapes_total",
+               &ScrapeCounters::scrapesStarted);
+  adoptCounter(registry, "lidc_replica_directory_scrape_failures_total",
+               &ScrapeCounters::scrapesFailed);
+  adoptCounter(registry, "lidc_replica_directory_manifest_reuses_total",
+               &ScrapeCounters::manifestReuses);
+  adoptCounter(registry, "lidc_replica_directory_snapshots_fetched_total",
+               &ScrapeCounters::snapshotsFetched);
+  collector_ = registry.registerCollector([this, &registry] {
     double stale = 0.0;
-    for (const auto& cluster : directory->watchedClusters()) {
-      if (directory->isStale(cluster)) stale += 1.0;
+    for (const auto& cluster : watchedClusters()) {
+      if (isStale(cluster)) stale += 1.0;
     }
     registry.gauge("lidc_replica_directory_stale_clusters").set(stale);
   });

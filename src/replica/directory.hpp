@@ -28,8 +28,6 @@ class ReplicaDirectory : public telemetry::SnapshotScraper {
   };
 
   explicit ReplicaDirectory(ndn::Forwarder& forwarder);
-  /// Detaches the telemetry collector from this directory.
-  ~ReplicaDirectory() override;
 
   void watchCluster(const std::string& cluster);
 
@@ -48,9 +46,9 @@ class ReplicaDirectory : public telemetry::SnapshotScraper {
   /// Union of all dataset URIs across non-stale views, sorted.
   [[nodiscard]] std::vector<std::string> knownDatasets() const;
 
-  /// Mirrors lidc_replica_directory_* counters into `registry`. The
-  /// collector holds a token the destructor clears, not the directory, so
-  /// it may outlive the directory; the series then keep their last values.
+  /// Exports the lidc_replica_directory_* scrape counters into
+  /// `registry`, plus the stale-cluster gauge read at snapshot time; the
+  /// series keep their last values once the directory is gone.
   void attachTelemetry(telemetry::MetricsRegistry& registry);
 
  private:
@@ -61,9 +59,7 @@ class ReplicaDirectory : public telemetry::SnapshotScraper {
                                                const std::string& uri) const;
 
   std::map<std::string, ClusterMap> views_;
-  /// This directory while it lives; the collector's liveness token.
-  std::shared_ptr<const ReplicaDirectory*> self_ =
-      std::make_shared<const ReplicaDirectory*>(this);
+  telemetry::CollectorHandle collector_;
 };
 
 /// Parses one catalog snapshot ("dataset=...;bytes=...;version=...;

@@ -36,7 +36,7 @@ std::size_t RepairLoop::tick() {
     auto it = schedulers_.find(action.destination);
     if (it == schedulers_.end()) continue;
     ++enqueued;
-    ++counts_->enqueued;
+    counts_->enqueued.inc();
     TransferRequest request;
     request.priority = options_.priority + action.priority;
     request.tag = tag;
@@ -44,11 +44,11 @@ std::size_t RepairLoop::tick() {
         action.dataset, std::move(request),
         [counts = counts_](Status status, std::uint64_t) {
           if (status.ok()) {
-            ++counts->completed;
+            counts->completed.inc();
           } else if (status.code() != StatusCode::kAborted) {
             // Superseded repairs are not failures; the newer pass owns
             // the dataset now.
-            ++counts->failed;
+            counts->failed.inc();
           }
         });
   }
@@ -72,15 +72,13 @@ void RepairLoop::stop() {
 }
 
 void RepairLoop::attachTelemetry(telemetry::MetricsRegistry& registry) {
-  registry.registerCollector([counts = counts_, &registry] {
-    registry.counter("lidc_replica_repaired_total")
-        .set(static_cast<double>(counts->completed));
-    registry.counter("lidc_replica_repairs_enqueued_total")
-        .set(static_cast<double>(counts->enqueued));
-    registry.counter("lidc_replica_repair_failures_total")
-        .set(static_cast<double>(counts->failed));
+  registry.adopt("lidc_replica_repaired_total", {}, {counts_, &counts_->completed});
+  registry.adopt("lidc_replica_repairs_enqueued_total", {},
+                 {counts_, &counts_->enqueued});
+  registry.adopt("lidc_replica_repair_failures_total", {}, {counts_, &counts_->failed});
+  collector_ = registry.registerCollector([this, &registry] {
     registry.gauge("lidc_replica_under_replicated")
-        .set(static_cast<double>(counts->underReplicated));
+        .set(static_cast<double>(counts_->underReplicated));
   });
 }
 
@@ -88,8 +86,8 @@ telemetry::AlertEngine::ValueSource repairValueSource(const RepairLoop& loop) {
   return [&loop] {
     return std::map<std::string, double>{
         {"replica/under_replicated",
-         static_cast<double>(loop.underReplicated())},
-        {"replica/repairs_failed", static_cast<double>(loop.repairsFailed())},
+         static_cast<double>(loop.counters().underReplicated)},
+        {"replica/repairs_failed", static_cast<double>(loop.counters().failed)},
     };
   };
 }

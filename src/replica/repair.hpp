@@ -34,6 +34,13 @@ struct RepairOptions {
   bool supersedePreviousPass = true;
 };
 
+struct RepairCounters {
+  telemetry::Counter enqueued;
+  telemetry::Counter completed;
+  telemetry::Counter failed;
+  std::size_t underReplicated = 0;  // datasets the latest pass found short
+};
+
 class RepairLoop {
  public:
   RepairLoop(sim::Simulator& sim, ReplicaDirectory& directory,
@@ -56,23 +63,11 @@ class RepairLoop {
   [[nodiscard]] bool running() const noexcept { return running_; }
 
   [[nodiscard]] std::uint64_t passes() const noexcept { return passes_; }
-  [[nodiscard]] std::uint64_t repairsEnqueued() const noexcept {
-    return counts_->enqueued;
-  }
-  [[nodiscard]] std::uint64_t repairsCompleted() const noexcept {
-    return counts_->completed;
-  }
-  [[nodiscard]] std::uint64_t repairsFailed() const noexcept {
-    return counts_->failed;
-  }
-  /// Datasets the latest pass found under-replicated.
-  [[nodiscard]] std::size_t underReplicated() const noexcept {
-    return counts_->underReplicated;
-  }
+  [[nodiscard]] const RepairCounters& counters() const noexcept { return *counts_; }
 
-  /// Mirrors lidc_replica_repaired_total and the
-  /// lidc_replica_under_replicated gauge into `registry`. The collector
-  /// shares the counts, not the loop, so it may outlive the loop.
+  /// Exports lidc_replica_repaired_total / _repairs_enqueued_total /
+  /// _repair_failures_total and the lidc_replica_under_replicated gauge
+  /// into `registry`.
   void attachTelemetry(telemetry::MetricsRegistry& registry);
   void setFlightRecorder(telemetry::FlightRecorder* recorder) noexcept {
     recorder_ = recorder;
@@ -88,15 +83,10 @@ class RepairLoop {
   bool running_ = false;
   sim::EventHandle tick_;
   std::uint64_t passes_ = 0;
-  struct Counts {
-    std::uint64_t enqueued = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t failed = 0;
-    std::size_t underReplicated = 0;  // latest pass
-  };
-  /// Shared with in-flight repair callbacks and the telemetry collector,
-  /// which may outlive the loop.
-  std::shared_ptr<Counts> counts_ = std::make_shared<Counts>();
+  /// Shared with in-flight repair callbacks and the registry, which may
+  /// outlive the loop.
+  std::shared_ptr<RepairCounters> counts_ = std::make_shared<RepairCounters>();
+  telemetry::CollectorHandle collector_;
 };
 
 /// AlertEngine value source over a repair loop:

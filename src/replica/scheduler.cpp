@@ -24,8 +24,6 @@ TransferScheduler::TransferScheduler(ndn::Forwarder& forwarder,
   retriever_ = std::make_unique<datalake::Retriever>(*face_, options_.retrieve);
 }
 
-TransferScheduler::~TransferScheduler() { *self_ = nullptr; }
-
 void TransferScheduler::trace(const std::string& line) {
   char stamp[32];
   std::snprintf(stamp, sizeof(stamp), "t=%.6fs ",
@@ -38,7 +36,7 @@ void TransferScheduler::trace(const std::string& line) {
 void TransferScheduler::enqueue(const ndn::Name& dataset, Request request,
                                 DoneCallback done) {
   if (store_.contains(dataset)) {
-    ++local_hits_;
+    counters_->localHits.inc();
     trace("hit " + dataset.toUri());
     if (done) done(Status::Ok(), 0);
     return;
@@ -47,7 +45,7 @@ void TransferScheduler::enqueue(const ndn::Name& dataset, Request request,
   // than fetching twice; the join lends it the higher priority.
   for (auto& entry : queue_) {
     if (entry->dataset == dataset && !entry->cancelled) {
-      ++joined_;
+      counters_->joined.inc();
       entry->priority = std::max(entry->priority, request.priority);
       if (done) entry->callbacks.push_back(std::move(done));
       trace("join " + dataset.toUri() +
@@ -57,7 +55,7 @@ void TransferScheduler::enqueue(const ndn::Name& dataset, Request request,
   }
   for (auto& entry : inflight_) {
     if (entry->dataset == dataset && !entry->cancelled) {
-      ++joined_;
+      counters_->joined.inc();
       if (done) entry->callbacks.push_back(std::move(done));
       trace("join " + dataset.toUri() + " (in flight)");
       return;
@@ -83,7 +81,7 @@ bool TransferScheduler::cancel(const ndn::Name& dataset) {
     if ((*it)->dataset == dataset) {
       std::shared_ptr<Entry> entry = *it;
       queue_.erase(it);
-      ++cancelled_;
+      counters_->cancelled.inc();
       trace("cancel " + dataset.toUri());
       if (catalog_) catalog_->erase(dataset);
       for (auto& cb : entry->callbacks) {
@@ -101,7 +99,7 @@ std::size_t TransferScheduler::cancelTag(const std::string& tag) {
     if ((*it)->tag == tag) {
       std::shared_ptr<Entry> entry = *it;
       it = queue_.erase(it);
-      ++cancelled_;
+      counters_->cancelled.inc();
       ++swept;
       trace("cancel " + entry->dataset.toUri() + " tag=" + tag);
       if (catalog_) catalog_->erase(entry->dataset);
@@ -115,7 +113,7 @@ std::size_t TransferScheduler::cancelTag(const std::string& tag) {
   for (auto& entry : inflight_) {
     if (entry->tag == tag && !entry->cancelled) {
       entry->cancelled = true;
-      ++cancelled_;
+      counters_->cancelled.inc();
       ++swept;
       trace("cancel " + entry->dataset.toUri() + " tag=" + tag + " (in flight)");
     }
@@ -174,7 +172,7 @@ void TransferScheduler::startTransfer(std::shared_ptr<Entry> entry) {
           return;
         }
         if (!bytes.ok()) {
-          ++failures_;
+          counters_->failures.inc();
           trace("fail " + entry->dataset.toUri() + " (" +
                 bytes.status().toString() + ")");
           LIDC_FR_EVENT(recorder_, kWarn, "replica",
@@ -191,13 +189,13 @@ void TransferScheduler::startTransfer(std::shared_ptr<Entry> entry) {
                                          entry->tenant);
         if (!stored.ok()) {
           if (stored.code() == StatusCode::kResourceExhausted) {
-            ++capacity_rejects_;
+            counters_->capacityRejects.inc();
             trace("reject-capacity " + entry->dataset.toUri());
             LIDC_FR_EVENT(recorder_, kWarn, "replica",
                           "capacity reject " + entry->dataset.toUri() +
                               " -> " + cluster_name_);
           } else {
-            ++failures_;
+            counters_->failures.inc();
             trace("fail " + entry->dataset.toUri() + " (" + stored.toString() +
                   ")");
           }
@@ -205,8 +203,8 @@ void TransferScheduler::startTransfer(std::shared_ptr<Entry> entry) {
           settle(entry, stored, 0);
           return;
         }
-        ++staged_;
-        bytes_moved_ += size;
+        counters_->staged.inc();
+        counters_->bytesMoved.inc(size);
         if (flow_ != nullptr && size > 0) {
           telemetry::FlowKey key;
           key.group = "staging";
@@ -240,18 +238,13 @@ void TransferScheduler::settle(const std::shared_ptr<Entry>& entry,
 
 void TransferScheduler::attachTelemetry(telemetry::MetricsRegistry& registry) {
   const telemetry::Labels labels{{"cluster", cluster_name_}};
-  registry.registerCollector([self = self_, &registry, labels] {
-    const TransferScheduler* scheduler = *self;
-    if (scheduler == nullptr) return;
-    registry.counter("lidc_replica_staged_total", labels)
-        .set(static_cast<double>(scheduler->staged_));
-    registry.counter("lidc_replica_bytes_moved_total", labels)
-        .set(static_cast<double>(scheduler->bytes_moved_));
-    registry.counter("lidc_replica_capacity_rejected_total", labels)
-        .set(static_cast<double>(scheduler->capacity_rejects_));
-    registry.counter("lidc_replica_stage_failures_total", labels)
-        .set(static_cast<double>(scheduler->failures_));
-  });
+  auto adopt = [&](const char* name, telemetry::Counter& counter) {
+    registry.adopt(name, labels, {counters_, &counter});
+  };
+  adopt("lidc_replica_staged_total", counters_->staged);
+  adopt("lidc_replica_bytes_moved_total", counters_->bytesMoved);
+  adopt("lidc_replica_capacity_rejected_total", counters_->capacityRejects);
+  adopt("lidc_replica_stage_failures_total", counters_->failures);
 }
 
 }  // namespace lidc::replica

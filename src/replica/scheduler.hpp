@@ -58,6 +58,16 @@ struct TransferRequest {
   std::string tenant;  // overrides TransferOptions::tenant when set
 };
 
+struct TransferCounters {
+  telemetry::Counter staged;
+  telemetry::Counter bytesMoved;
+  telemetry::Counter localHits;  // already in the local lake
+  telemetry::Counter joined;  // deduplicated onto a queued/in-flight transfer
+  telemetry::Counter cancelled;
+  telemetry::Counter capacityRejects;
+  telemetry::Counter failures;
+};
+
 class TransferScheduler {
  public:
   /// Fires with the terminal status and the bytes this transfer moved
@@ -72,8 +82,6 @@ class TransferScheduler {
   TransferScheduler(ndn::Forwarder& forwarder, datalake::ObjectStore& store,
                     std::string clusterName, TransferOptions options = {},
                     ReplicaCatalog* catalog = nullptr);
-  /// Detaches the telemetry collector from this scheduler.
-  ~TransferScheduler();
   TransferScheduler(const TransferScheduler&) = delete;
   TransferScheduler& operator=(const TransferScheduler&) = delete;
 
@@ -92,25 +100,24 @@ class TransferScheduler {
   }
   [[nodiscard]] std::size_t queuedCount() const noexcept { return queue_.size(); }
   [[nodiscard]] std::size_t activeCount() const noexcept { return active_; }
-  [[nodiscard]] std::uint64_t staged() const noexcept { return staged_; }
-  [[nodiscard]] std::uint64_t bytesMoved() const noexcept { return bytes_moved_; }
-  [[nodiscard]] std::uint64_t localHits() const noexcept { return local_hits_; }
-  [[nodiscard]] std::uint64_t joined() const noexcept { return joined_; }
-  [[nodiscard]] std::uint64_t cancelled() const noexcept { return cancelled_; }
-  [[nodiscard]] std::uint64_t capacityRejects() const noexcept {
-    return capacity_rejects_;
+  [[nodiscard]] const TransferCounters& counters() const noexcept { return *counters_; }
+  [[nodiscard]] std::uint64_t bytesMoved() const noexcept {
+    return counters_->bytesMoved;
   }
-  [[nodiscard]] std::uint64_t failures() const noexcept { return failures_; }
+  [[nodiscard]] std::uint64_t localHits() const noexcept {
+    return counters_->localHits;
+  }
+  [[nodiscard]] std::uint64_t failures() const noexcept { return counters_->failures; }
 
   /// Deterministic event trace ("t=..s enqueue|join|hit|start|done|
   /// fail|cancel|reject-capacity ..." lines).
   [[nodiscard]] const std::string& eventLog() const noexcept { return log_; }
 
-  /// Mirrors lidc_replica_staged_total / lidc_replica_bytes_moved_total
-  /// / lidc_replica_capacity_rejected_total (labeled by cluster) into
-  /// `registry`. The collector holds a token the destructor clears, not
-  /// the scheduler, so it may outlive the scheduler; the series then keep
-  /// their last values.
+  /// Exports lidc_replica_staged_total / lidc_replica_bytes_moved_total
+  /// / lidc_replica_capacity_rejected_total /
+  /// lidc_replica_stage_failures_total (labeled by cluster) into
+  /// `registry`; the series keep their last values once the scheduler
+  /// is gone.
   void attachTelemetry(telemetry::MetricsRegistry& registry);
   void setFlightRecorder(telemetry::FlightRecorder* recorder) noexcept {
     recorder_ = recorder;
@@ -159,17 +166,8 @@ class TransferScheduler {
   sim::Time gate_;
   bool pump_armed_ = false;
 
-  std::uint64_t staged_ = 0;
-  std::uint64_t bytes_moved_ = 0;
-  std::uint64_t local_hits_ = 0;
-  std::uint64_t joined_ = 0;
-  std::uint64_t cancelled_ = 0;
-  std::uint64_t capacity_rejects_ = 0;
-  std::uint64_t failures_ = 0;
+  std::shared_ptr<TransferCounters> counters_ = std::make_shared<TransferCounters>();
   std::string log_;
-  /// This scheduler while it lives; the collector's liveness token.
-  std::shared_ptr<const TransferScheduler*> self_ =
-      std::make_shared<const TransferScheduler*>(this);
 };
 
 }  // namespace lidc::replica

@@ -29,9 +29,9 @@ std::string_view faultKindName(FaultKind kind) noexcept {
 }
 
 std::size_t ChaosEngine::declare(std::string label, FaultKind kind) {
-  FaultRecord record;
-  record.label = std::move(label);
-  record.kind = kind;
+  auto record = std::make_shared<FaultRecord>();
+  record->label = std::move(label);
+  record->kind = kind;
   faults_.push_back(std::move(record));
   return faults_.size() - 1;
 }
@@ -39,11 +39,11 @@ std::size_t ChaosEngine::declare(std::string label, FaultKind kind) {
 void ChaosEngine::schedulePhase(std::size_t fault, Time at, bool inject,
                                 std::function<void()> action) {
   sim_.scheduleAt(at, [this, fault, inject, action = std::move(action)] {
-    FaultRecord& record = faults_[fault];
+    FaultRecord& record = *faults_[fault];
     if (inject) {
-      ++record.injections;
+      record.injections.inc();
     } else {
-      ++record.recoveries;
+      record.recoveries.inc();
     }
     trace_.push_back(
         ChaosEvent{sim_.now(), record.label, inject ? "inject" : "recover"});
@@ -207,7 +207,7 @@ void ChaosEngine::noisyNeighbor(std::string label, Time from, Time until,
     cursor = cursor + Duration::seconds(rng_.exponential(meanGap.toSeconds()));
     if (cursor >= until) break;
     sim_.scheduleAt(cursor, [this, fault, submit] {
-      ++faults_[fault].injections;
+      faults_[fault]->injections.inc();
       submit();
     });
   }
@@ -241,30 +241,32 @@ std::string ChaosEngine::traceString() const {
 
 std::uint64_t ChaosEngine::totalInjections() const noexcept {
   std::uint64_t total = 0;
-  for (const auto& fault : faults_) total += fault.injections;
+  for (const auto& fault : faults_) total += fault->injections;
   return total;
 }
 
 std::uint64_t ChaosEngine::totalRecoveries() const noexcept {
   std::uint64_t total = 0;
-  for (const auto& fault : faults_) total += fault.recoveries;
+  for (const auto& fault : faults_) total += fault->recoveries;
   return total;
 }
 
 void ChaosEngine::attachTelemetry(telemetry::MetricsRegistry& registry) {
-  registry.registerCollector([this, &registry] {
-    registry.counter("lidc_chaos_injections").set(totalInjections());
-    registry.counter("lidc_chaos_recoveries").set(totalRecoveries());
-    registry.gauge("lidc_chaos_faults_declared")
-        .set(static_cast<double>(faults_.size()));
-    for (const auto& fault : faults_) {
-      registry
-          .counter("lidc_chaos_fault_injections",
-                   {{"kind", std::string(faultKindName(fault.kind))},
-                    {"fault", fault.label}})
-          .set(fault.injections);
-    }
-  });
+  // Faults declared since the last snapshot are adopted there.
+  collector_ = registry.registerCollector(
+      [this, &registry, exported = std::size_t{0}]() mutable {
+        for (; exported < faults_.size(); ++exported) {
+          const std::shared_ptr<FaultRecord>& fault = faults_[exported];
+          registry.adopt("lidc_chaos_fault_injections",
+                         {{"kind", std::string(faultKindName(fault->kind))},
+                          {"fault", fault->label}},
+                         {fault, &fault->injections});
+        }
+        registry.counter("lidc_chaos_injections").set(totalInjections());
+        registry.counter("lidc_chaos_recoveries").set(totalRecoveries());
+        registry.gauge("lidc_chaos_faults_declared")
+            .set(static_cast<double>(faults_.size()));
+      });
 }
 
 }  // namespace lidc::sim

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,8 +47,8 @@ std::string_view faultKindName(FaultKind kind) noexcept;
 struct FaultRecord {
   std::string label;
   FaultKind kind = FaultKind::kCustom;
-  std::uint64_t injections = 0;
-  std::uint64_t recoveries = 0;
+  telemetry::Counter injections;
+  telemetry::Counter recoveries;
 };
 
 /// One entry of the chaos event trace ("inject" or "recover").
@@ -146,9 +147,6 @@ class ChaosEngine {
 
   // --- observability ----------------------------------------------------
 
-  [[nodiscard]] const std::vector<FaultRecord>& faults() const noexcept {
-    return faults_;
-  }
   [[nodiscard]] const std::vector<ChaosEvent>& trace() const noexcept {
     return trace_;
   }
@@ -159,8 +157,10 @@ class ChaosEngine {
   [[nodiscard]] std::uint64_t totalInjections() const noexcept;
   [[nodiscard]] std::uint64_t totalRecoveries() const noexcept;
 
-  /// Syncs injection/recovery totals (and per-kind injection counters)
-  /// into `registry` at snapshot time.
+  /// Exports each fault's injection counter into `registry`
+  /// (lidc_chaos_fault_injections{kind,fault}, for faults declared
+  /// before or after the attach) and sums the injection/recovery
+  /// totals at snapshot time.
   void attachTelemetry(telemetry::MetricsRegistry& registry);
 
   /// Records every injection/recovery into `recorder`, so alert
@@ -178,9 +178,11 @@ class ChaosEngine {
 
   Simulator& sim_;
   Rng rng_;
-  std::vector<FaultRecord> faults_;
+  /// Shared with the registry the injection counters are exported to.
+  std::vector<std::shared_ptr<FaultRecord>> faults_;
   std::vector<ChaosEvent> trace_;
   telemetry::FlightRecorder* recorder_ = nullptr;
+  telemetry::CollectorHandle collector_;
 };
 
 }  // namespace lidc::sim

@@ -69,7 +69,7 @@ void AlertEngine::addAnomalyRule(std::string name, std::string series,
 }
 
 int AlertEngine::evaluate() {
-  ++evaluations_;
+  counters_->evaluations.inc();
   if (!source_) return 0;
   const std::map<std::string, double> values = source_();
   int transitions = 0;
@@ -147,7 +147,7 @@ void AlertEngine::fire(Rule& rule, double value, std::string reason) {
   // the events that led here, not the alert's own announcement.
   if (recorder_ != nullptr) alert.events = recorder_->lastN(options_.eventWindow);
   rule.activeAlert = alert.id;
-  ++fired_;
+  counters_->fired.inc();
   ++revision_;
   appendLog(alert, /*fired=*/true);
   LIDC_LOG(kWarn, "alerts") << "fired #" << alert.id << " rule=" << alert.rule
@@ -161,7 +161,7 @@ void AlertEngine::resolve(Rule& rule, double value) {
     alert.firing = false;
     alert.resolvedAt = sim_.now();
     alert.value = value;
-    ++resolved_;
+    counters_->resolved.inc();
     ++revision_;
     appendLog(alert, /*fired=*/false);
     LIDC_LOG(kInfo, "alerts") << "resolved #" << alert.id
@@ -286,10 +286,11 @@ std::string AlertEngine::serializedLog() const {
 }
 
 void AlertEngine::attachTelemetry(MetricsRegistry& registry) {
-  registry.registerCollector([this, &registry] {
-    registry.counter("lidc_alerts_fired_total").set(fired_);
-    registry.counter("lidc_alerts_resolved_total").set(resolved_);
-    registry.counter("lidc_alerts_evaluations_total").set(evaluations_);
+  registry.adopt("lidc_alerts_fired_total", {}, {counters_, &counters_->fired});
+  registry.adopt("lidc_alerts_resolved_total", {}, {counters_, &counters_->resolved});
+  registry.adopt("lidc_alerts_evaluations_total", {},
+                 {counters_, &counters_->evaluations});
+  collector_ = registry.registerCollector([this, &registry] {
     registry.gauge("lidc_alerts_firing").set(static_cast<double>(firingCount()));
   });
 }

@@ -51,6 +51,12 @@ struct Alert {
   std::vector<FlightEvent> events;
 };
 
+struct AlertCounters {
+  Counter fired;
+  Counter resolved;
+  Counter evaluations;
+};
+
 class AlertEngine {
  public:
   using ValueSource = std::function<std::map<std::string, double>()>;
@@ -86,9 +92,7 @@ class AlertEngine {
   }
   [[nodiscard]] const Alert* alert(std::uint64_t id) const;
   [[nodiscard]] std::size_t firingCount() const;
-  [[nodiscard]] std::uint64_t firedTotal() const noexcept { return fired_; }
-  [[nodiscard]] std::uint64_t resolvedTotal() const noexcept { return resolved_; }
-  [[nodiscard]] std::uint64_t evaluations() const noexcept { return evaluations_; }
+  [[nodiscard]] const AlertCounters& counters() const noexcept { return *counters_; }
 
   /// Bumped on every fired/resolved transition; the alert content
   /// group's revision, so unchanged state keeps its publisher seq.
@@ -103,7 +107,8 @@ class AlertEngine {
   /// transition, capped at maxLogLines.
   [[nodiscard]] std::string serializedLog() const;
 
-  /// Mirrors lidc_alerts_* counters/gauges into `registry`.
+  /// Exports the lidc_alerts_* counters into `registry`, plus the
+  /// firing gauge read at snapshot time.
   void attachTelemetry(MetricsRegistry& registry);
 
  private:
@@ -135,12 +140,11 @@ class AlertEngine {
   std::vector<Alert> alerts_;
   std::vector<std::string> log_lines_;
   std::uint64_t next_id_ = 0;
-  std::uint64_t fired_ = 0;
-  std::uint64_t resolved_ = 0;
-  std::uint64_t evaluations_ = 0;
+  std::shared_ptr<AlertCounters> counters_ = std::make_shared<AlertCounters>();
   std::uint64_t revision_ = 0;
   bool running_ = false;
   sim::EventHandle tick_;
+  CollectorHandle collector_;
 };
 
 }  // namespace lidc::telemetry

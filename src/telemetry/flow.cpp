@@ -440,7 +440,7 @@ std::string FlowAccountant::toPrometheus() const {
 }
 
 void FlowAccountant::attachTelemetry(MetricsRegistry& registry) {
-  registry.registerCollector([this, &registry] {
+  collector_ = registry.registerCollector([this, &registry] {
     std::vector<std::string> names = linkNames();
     for (const std::string& name : names) {
       LinkFlowStats* s = nullptr;

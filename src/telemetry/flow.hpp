@@ -336,6 +336,7 @@ class FlowAccountant {
   std::map<FlowKey, std::uint64_t> staged_;
   std::uint64_t staged_total_ = 0;
   std::atomic<std::uint64_t> revision_{0};
+  CollectorHandle collector_;
 };
 
 }  // namespace lidc::telemetry

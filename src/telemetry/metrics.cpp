@@ -77,7 +77,7 @@ MetricsRegistry::Entry& MetricsRegistry::findOrCreate(const std::string& name,
     entry.labels = std::move(labels);
     switch (kind) {
       case MetricKind::kCounter:
-        entry.counter = std::make_unique<Counter>();
+        entry.counter = std::make_shared<Counter>();
         break;
       case MetricKind::kGauge:
         entry.gauge = std::make_unique<Gauge>();
@@ -104,20 +104,45 @@ Histogram& MetricsRegistry::histogram(const std::string& name, Labels labels) {
   return *findOrCreate(name, std::move(labels), MetricKind::kHistogram).histogram;
 }
 
-void MetricsRegistry::registerCollector(std::function<void()> collect) {
+void MetricsRegistry::adopt(const std::string& name, Labels labels,
+                            std::shared_ptr<Counter> counter) {
+  assert(counter);
+  std::sort(labels.begin(), labels.end());
   std::lock_guard<std::mutex> lock(mutex_);
-  collectors_.push_back(std::move(collect));
+  auto [it, inserted] = entries_.try_emplace({name, labelString(labels)});
+  Entry& entry = it->second;
+  if (inserted) {
+    entry.kind = MetricKind::kCounter;
+    entry.labels = std::move(labels);
+  }
+  assert(entry.kind == MetricKind::kCounter &&
+         "metric re-registered with a different kind");
+  if (entry.counter) displaced_.push_back(std::move(entry.counter));
+  entry.counter = std::move(counter);
+}
+
+CollectorHandle MetricsRegistry::registerCollector(Collector collect) {
+  auto handle = std::make_shared<const Collector>(std::move(collect));
+  std::lock_guard<std::mutex> lock(mutex_);
+  collectors_.push_back(handle);
+  return handle;
 }
 
 void MetricsRegistry::runCollectors() {
-  // Copy under the lock, run outside it: collectors are free to create
-  // new instruments without deadlocking.
-  std::vector<std::function<void()>> collectors;
+  // Pin the live collectors under the lock (dropping dead ones), run
+  // them outside it: collectors are free to create new instruments
+  // without deadlocking.
+  std::vector<CollectorHandle> live;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    collectors = collectors_;
+    std::erase_if(collectors_, [&live](const std::weak_ptr<const Collector>& weak) {
+      CollectorHandle collector = weak.lock();
+      if (!collector) return true;
+      live.push_back(std::move(collector));
+      return false;
+    });
   }
-  for (const auto& collect : collectors) collect();
+  for (const auto& collect : live) (*collect)();
 }
 
 std::vector<MetricSnapshot> MetricsRegistry::snapshot(const std::string& prefix) {

@@ -3,12 +3,12 @@
 // and log2-bucketed Histograms with p50/p90/p99 — grouped into labeled
 // families (e.g. lidc_forwarder_in_interests{node="gw-east"}).
 //
-// Hot-path discipline: handles returned by counter()/gauge()/histogram()
-// are stable for the registry's lifetime, and incrementing one is a
-// single relaxed atomic add — no lock, no lookup. Registration and
-// snapshotting take a mutex; components that keep legacy counter
-// structs can instead register a *collector* callback that syncs those
-// values into registry instruments right before each snapshot/export.
+// One place per count: a component keeps each count as a Counter in a
+// shared counters block and attachTelemetry() adopt()s those Counters,
+// so the registry exports the component's own numbers. Incrementing is
+// a single relaxed atomic add — no lock, no lookup. Collectors set only
+// values derived at snapshot time (sums, sizes, gauges); the registry
+// holds them weakly, and the owner keeps the returned handle.
 //
 // Exporters: toJson() (machine-readable, stable ordering) and
 // toPrometheus() (text exposition format; histograms as summaries).
@@ -34,25 +34,36 @@ namespace lidc::telemetry {
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
 /// Monotonic counter. inc() is the hot path: one relaxed atomic add.
+/// It reads as the integer it counts, so a counters block of Counters
+/// is read like a struct of plain integers; copying one copies the
+/// current value (a snapshot).
 class Counter {
  public:
+  Counter() = default;
+  Counter(const Counter& other) noexcept : value_(other.value()) {}
+  Counter& operator=(const Counter& other) noexcept {
+    value_.store(other.value(), std::memory_order_relaxed);
+    return *this;
+  }
+
   void inc(std::uint64_t n = 1) noexcept {
     value_.fetch_add(n, std::memory_order_relaxed);
   }
-  /// Absolute sync, used by collector callbacks mirroring legacy
-  /// counter structs at snapshot time.
+  /// Absolute value of a derived counter, written by a collector at
+  /// snapshot time (e.g. a sum over per-face counters).
   void set(std::uint64_t v) noexcept { value_.store(v, std::memory_order_relaxed); }
   [[nodiscard]] std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
+  operator std::uint64_t() const noexcept { return value(); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
 };
 
 /// Compiled-in no-op drop-in for Counter: every call is an empty inline
-/// the optimizer deletes. bench_telemetry uses it to measure the cost
-/// of instrumentation against a build with telemetry compiled out.
+/// the optimizer deletes. bench_telemetry uses it as the zero-cost
+/// baseline that a Counter increment is measured against.
 struct NoopCounter {
   void inc(std::uint64_t = 1) noexcept {}
   void set(std::uint64_t) noexcept {}
@@ -142,6 +153,12 @@ class Histogram {
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
+/// A snapshot-time callback, and the owner-held handle that keeps it
+/// registered: the registry runs a collector only while its handle
+/// lives, so a collector never outlives the component it reads.
+using Collector = std::function<void()>;
+using CollectorHandle = std::shared_ptr<const Collector>;
+
 /// One exported metric value (histograms carry their summary stats).
 struct MetricSnapshot {
   std::string name;
@@ -172,10 +189,18 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name, Labels labels = {});
   Histogram& histogram(const std::string& name, Labels labels = {});
 
-  /// Registers a callback run before every snapshot()/export, letting
-  /// components sync legacy counter structs into registry instruments
-  /// without touching their hot paths.
-  void registerCollector(std::function<void()> collect);
+  /// Exports `counter` — stored and incremented by its component — as
+  /// the counter series (name, labels), sharing its ownership so the
+  /// series outlives the component. Adopting an existing series
+  /// replaces the counter it exports (the latest attach wins).
+  void adopt(const std::string& name, Labels labels,
+             std::shared_ptr<Counter> counter);
+
+  /// Registers a callback run before every snapshot()/export that sets
+  /// instruments to values derived at that moment. The registry keeps
+  /// only a weak reference: the collector runs while the returned
+  /// handle lives, so the owner keeps it as a member.
+  [[nodiscard]] CollectorHandle registerCollector(Collector collect);
 
   /// Runs collectors, then returns every metric whose name starts with
   /// `prefix` (empty = all), ordered by (name, labels).
@@ -193,9 +218,9 @@ class MetricsRegistry {
 
  private:
   struct Entry {
-    MetricKind kind;
+    MetricKind kind = MetricKind::kCounter;
     Labels labels;
-    std::unique_ptr<Counter> counter;
+    std::shared_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
@@ -206,7 +231,10 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   // (name, serialized labels) -> instrument; ordered for stable exports.
   std::map<std::pair<std::string, std::string>, Entry> entries_;
-  std::vector<std::function<void()>> collectors_;
+  std::vector<std::weak_ptr<const Collector>> collectors_;
+  // Counters replaced by a later adopt(): counter() handed out
+  // references to them, which stay valid for the registry's lifetime.
+  std::vector<std::shared_ptr<Counter>> displaced_;
 };
 
 /// Serializes labels as `k1="v1",k2="v2"` (sorted), "" when empty.

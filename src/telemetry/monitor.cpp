@@ -156,18 +156,17 @@ void TelemetryCollector::scrapeSettled(const std::string& cluster) {
 }
 
 void TelemetryCollector::attachTelemetry(MetricsRegistry& registry) {
-  registry.registerCollector([this, &registry] {
-    const ScrapeCounters& counters = this->counters();
-    registry.counter("lidc_collector_scrapes_started_total")
-        .set(counters.scrapesStarted);
-    registry.counter("lidc_collector_scrape_failures_total")
-        .set(counters.scrapesFailed);
-    registry.counter("lidc_collector_snapshots_fetched_total")
-        .set(counters.snapshotsFetched);
-    registry.counter("lidc_collector_manifest_reuses_total")
-        .set(counters.manifestReuses);
-    registry.counter("lidc_collector_signature_failures_total")
-        .set(counters.signatureFailures);
+  adoptCounter(registry, "lidc_collector_scrapes_started_total",
+               &ScrapeCounters::scrapesStarted);
+  adoptCounter(registry, "lidc_collector_scrape_failures_total",
+               &ScrapeCounters::scrapesFailed);
+  adoptCounter(registry, "lidc_collector_snapshots_fetched_total",
+               &ScrapeCounters::snapshotsFetched);
+  adoptCounter(registry, "lidc_collector_manifest_reuses_total",
+               &ScrapeCounters::manifestReuses);
+  adoptCounter(registry, "lidc_collector_signature_failures_total",
+               &ScrapeCounters::signatureFailures);
+  collector_ = registry.registerCollector([this, &registry] {
     double stale = 0.0;
     for (const auto& cluster : watchedClusters()) {
       if (isStale(cluster)) stale += 1.0;

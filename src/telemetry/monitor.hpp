@@ -122,8 +122,9 @@ class TelemetryCollector : public SnapshotScraper {
     health_listener_ = std::move(listener);
   }
 
-  /// Mirrors lidc_collector_* counters plus the stale-cluster gauge and
-  /// per-cluster health gauges into `registry`.
+  /// Exports the lidc_collector_* scrape counters into `registry`, plus
+  /// the stale-cluster and per-cluster health gauges read at snapshot
+  /// time.
   void attachTelemetry(MetricsRegistry& registry);
 
   /// Forgets a cluster's scraped values (keeps it watched), forcing the
@@ -144,6 +145,7 @@ class TelemetryCollector : public SnapshotScraper {
   TelemetryCollectorOptions options_;
   std::map<std::string, ClusterView> views_;
   HealthListener health_listener_;
+  CollectorHandle collector_;
 };
 
 /// Adapter: an AlertEngine value source over a collector's scraped

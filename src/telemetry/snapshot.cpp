@@ -151,7 +151,7 @@ void SnapshotScraper::scrapeOnce(std::function<void()> done) {
     if (--*remaining == 0 && done) done();
   };
   for (const auto& cluster : watched_) {
-    ++counters_.scrapesStarted;
+    counters_->scrapesStarted.inc();
     scrapeCluster(cluster, onClusterDone);
   }
 }
@@ -167,19 +167,19 @@ void SnapshotScraper::express(ndn::Name name, bool mustBeFresh,
       [this, onVerified = std::move(onVerified), done](const ndn::Interest&,
                                                        const ndn::Data& data) {
         if (!data.verify()) {
-          ++counters_.signatureFailures;
-          ++counters_.scrapesFailed;
+          counters_->signatureFailures.inc();
+          counters_->scrapesFailed.inc();
           done();
           return;
         }
         onVerified(data);
       },
       [this, done](const ndn::Interest&, const ndn::Nack&) {
-        ++counters_.scrapesFailed;
+        counters_->scrapesFailed.inc();
         done();
       },
       [this, done](const ndn::Interest&) {
-        ++counters_.scrapesFailed;
+        counters_->scrapesFailed.inc();
         done();
       });
 }
@@ -206,15 +206,15 @@ void SnapshotScraper::scrapeCluster(const std::string& cluster,
           }
         }
         if (seq == 0) {
-          ++counters_.scrapesFailed;
+          counters_->scrapesFailed.inc();
           finish();
           return;
         }
         SnapshotView& view = *views_.at(cluster);
         if (view.everScraped && view.seq == seq) {
           // Manifest says nothing changed; the previous payload stands.
-          ++counters_.manifestReuses;
-          ++counters_.scrapesSucceeded;
+          counters_->manifestReuses.inc();
+          counters_->scrapesSucceeded.inc();
           view.lastUpdated = sim_.now();
           finish();
           return;
@@ -239,8 +239,8 @@ void SnapshotScraper::fetchSnapshot(const std::string& cluster,
         view.lastUpdated = sim_.now();
         view.everScraped = true;
         applySnapshot(cluster, data.contentAsString());
-        ++counters_.snapshotsFetched;
-        ++counters_.scrapesSucceeded;
+        counters_->snapshotsFetched.inc();
+        counters_->scrapesSucceeded.inc();
         done();
       },
       done);

@@ -26,6 +26,7 @@
 
 #include "ndn/app_face.hpp"
 #include "ndn/forwarder.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace lidc::telemetry {
 
@@ -98,12 +99,12 @@ struct SnapshotView {
 };
 
 struct ScrapeCounters {
-  std::uint64_t scrapesStarted = 0;    // per (cluster, scrapeOnce) pair
-  std::uint64_t scrapesSucceeded = 0;
-  std::uint64_t scrapesFailed = 0;     // nack / timeout / bad payload
-  std::uint64_t manifestReuses = 0;    // seq unchanged, snapshot fetch skipped
-  std::uint64_t snapshotsFetched = 0;
-  std::uint64_t signatureFailures = 0;
+  Counter scrapesStarted;    // per (cluster, scrapeOnce) pair
+  Counter scrapesSucceeded;
+  Counter scrapesFailed;     // nack / timeout / bad payload
+  Counter manifestReuses;    // seq unchanged, snapshot fetch skipped
+  Counter snapshotsFetched;
+  Counter signatureFailures;
 };
 
 struct ScrapeTiming {
@@ -144,7 +145,7 @@ class SnapshotScraper {
   [[nodiscard]] bool isStale(const std::string& cluster) const;
 
   [[nodiscard]] const ScrapeCounters& counters() const noexcept {
-    return counters_;
+    return *counters_;
   }
 
  protected:
@@ -152,6 +153,12 @@ class SnapshotScraper {
   SnapshotScraper(ndn::Forwarder& forwarder, const std::string& faceUri,
                   std::uint64_t nonceSeed, ndn::Name root, std::string stream,
                   std::string manifestComponent, ScrapeTiming timing);
+
+  /// Exports `field` of the scrape counters as (name, labels).
+  void adoptCounter(MetricsRegistry& registry, const std::string& name,
+                    Counter ScrapeCounters::*field) {
+    registry.adopt(name, {}, {counters_, &((*counters_).*field)});
+  }
 
   /// Watches `cluster` (once), keeping its protocol state in `view`.
   void watch(const std::string& cluster, SnapshotView& view);
@@ -181,7 +188,7 @@ class SnapshotScraper {
   std::shared_ptr<ndn::AppFace> face_;
   std::vector<std::string> watched_;
   std::map<std::string, SnapshotView*> views_;
-  ScrapeCounters counters_;
+  std::shared_ptr<ScrapeCounters> counters_ = std::make_shared<ScrapeCounters>();
   bool running_ = false;
   sim::EventHandle tick_;
 };

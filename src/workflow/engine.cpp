@@ -76,13 +76,11 @@ void WorkflowEngine::run(WorkflowSpec spec, DoneCallback done) {
   run->startedAt = client_.simulator().now();
   run->done = std::move(done);
   run->stageCtx.resize(run->spec.stages.size());
-  if (telemetry_) {
-    telemetry_->runs->inc();
-    if (telemetry_->tracer != nullptr) {
-      run->rootCtx = telemetry_->tracer->startTrace(
-          "workflow", "workflow:" + run->spec.id,
-          {{"stages", std::to_string(run->spec.stages.size())}});
-    }
+  counters_->runs.inc();
+  if (telemetry_ && telemetry_->tracer != nullptr) {
+    run->rootCtx = telemetry_->tracer->startTrace(
+        "workflow", "workflow:" + run->spec.id,
+        {{"stages", std::to_string(run->spec.stages.size())}});
   }
   trace(run, "start workflow " + run->spec.id + " stages=" +
                  std::to_string(run->spec.stages.size()));
@@ -194,18 +192,15 @@ void WorkflowEngine::dispatchStage(const std::shared_ptr<Run>& run,
   st.dispatchedAt = client_.simulator().now();
   st.error.clear();
   ++run->running;
-  ++stages_dispatched_;
+  counters_->stagesDispatched.inc();
   const StageSpec& stage = run->spec.stages[index];
   trace(run, "dispatch " + stage.name + " app=" + stage.app);
-  if (telemetry_) {
-    telemetry_->stagesDispatched->inc();
-    if (telemetry_->tracer != nullptr) {
-      run->stageCtx[index] = telemetry_->tracer->startSpan(
-          "stage", "workflow:" + run->spec.id, run->rootCtx,
-          {{"stage", stage.name},
-           {"app", stage.app},
-           {"attempt", std::to_string(st.retries)}});
-    }
+  if (telemetry_ && telemetry_->tracer != nullptr) {
+    run->stageCtx[index] = telemetry_->tracer->startSpan(
+        "stage", "workflow:" + run->spec.id, run->rootCtx,
+        {{"stage", stage.name},
+         {"app", stage.app},
+         {"attempt", std::to_string(st.retries)}});
   }
 
   auto request =
@@ -299,8 +294,7 @@ void WorkflowEngine::armStageHedge(const std::shared_ptr<Run>& run,
   client_.simulator().scheduleAfter(delay, [this, run, index, request, race] {
     if (race->settled || run->finished) return;
     if (run->statuses[index].state != StageState::kRunning) return;
-    ++stage_hedges_;
-    if (telemetry_) telemetry_->stageHedges->inc();
+    counters_->stageHedges.inc();
     trace(run, "hedge " + run->spec.stages[index].name);
     launchStageLeg(run, index, request, race, /*isHedge=*/true);
   });
@@ -337,8 +331,7 @@ void WorkflowEngine::launchStageLeg(const std::shared_ptr<Run>& run,
         }
         if (completed) {
           if (isHedge) {
-            ++stage_hedges_won_;
-            if (telemetry_) telemetry_->stageHedgesWon->inc();
+            counters_->stageHedgesWon.inc();
             trace(run, "hedge-won " + run->spec.stages[index].name);
           }
           predictor_.record(*request, result->finalStatus.runtime);
@@ -380,9 +373,8 @@ void WorkflowEngine::stageIntermediate(const std::shared_ptr<Run>& run,
           return;
         }
         const std::uint64_t size = fetched->size();
-        bytes_moved_ += size;
+        counters_->bytesMoved.inc(size);
         run->outcome.intermediateBytesMoved += size;
-        if (telemetry_) telemetry_->bytesMoved->inc(size);
         client_.publishData(
             intermediatePath(run->spec.id, name), std::move(fetched).value(),
             [this, run, index, size](Result<ndn::Name> published) {
@@ -393,9 +385,8 @@ void WorkflowEngine::stageIntermediate(const std::shared_ptr<Run>& run,
                                      published.status().toString()));
                 return;
               }
-              bytes_moved_ += size;
+              counters_->bytesMoved.inc(size);
               run->outcome.intermediateBytesMoved += size;
-              if (telemetry_) telemetry_->bytesMoved->inc(size);
               completeStage(run, index);
             },
             run->stageCtx[index], "wf/" + run->spec.id);
@@ -431,12 +422,10 @@ void WorkflowEngine::handleStageFailure(const std::shared_ptr<Run>& run,
     ++st.retries;
     st.state = StageState::kPending;
     --run->running;
-    if (telemetry_) {
-      telemetry_->stageRetries->inc();
-      if (telemetry_->tracer != nullptr) {
-        telemetry_->tracer->setAttr(run->stageCtx[index], "outcome", "retry");
-        telemetry_->tracer->endSpan(run->stageCtx[index]);
-      }
+    counters_->stageRetries.inc();
+    if (telemetry_ && telemetry_->tracer != nullptr) {
+      telemetry_->tracer->setAttr(run->stageCtx[index], "outcome", "retry");
+      telemetry_->tracer->endSpan(run->stageCtx[index]);
     }
     trace(run, "retry " + name + " (" + std::to_string(st.retries) + "/" +
                    std::to_string(options_.maxStageRetries) + ")");
@@ -474,7 +463,7 @@ void WorkflowEngine::probeInputsAndRecover(const std::shared_ptr<Run>& run,
                 pst.state = StageState::kPending;
                 pst.error.clear();
                 ++run->outcome.lineageRecoveries;
-                if (telemetry_) telemetry_->lineageRecoveries->inc();
+                counters_->lineageRecoveries.inc();
                 trace(run, "reset " + producer +
                                " (lineage: intermediate unreachable)");
               }
@@ -559,8 +548,8 @@ void WorkflowEngine::maybeFinish(const std::shared_ptr<Run>& run) {
   }
   run->outcome.succeeded = succeeded;
   run->outcome.makespan = client_.simulator().now() - run->startedAt;
+  (succeeded ? counters_->runsSucceeded : counters_->runsFailed).inc();
   if (telemetry_) {
-    (succeeded ? telemetry_->runsSucceeded : telemetry_->runsFailed)->inc();
     telemetry_->makespanUs->observe(
         static_cast<double>(run->outcome.makespan.toNanos()) / 1e3);
     if (telemetry_->tracer != nullptr) {
@@ -580,23 +569,20 @@ void WorkflowEngine::maybeFinish(const std::shared_ptr<Run>& run) {
 
 void WorkflowEngine::attachTelemetry(telemetry::MetricsRegistry& registry,
                                      telemetry::Tracer* tracer) {
+  auto adopt = [&](const char* name, telemetry::Counter& counter) {
+    registry.adopt(name, {}, {counters_, &counter});
+  };
+  WorkflowCounters& c = *counters_;
+  adopt("lidc_workflow_runs", c.runs);
+  adopt("lidc_workflow_runs_succeeded", c.runsSucceeded);
+  adopt("lidc_workflow_runs_failed", c.runsFailed);
+  adopt("lidc_workflow_stages_dispatched", c.stagesDispatched);
+  adopt("lidc_workflow_stage_retries", c.stageRetries);
+  adopt("lidc_workflow_stage_hedges", c.stageHedges);
+  adopt("lidc_workflow_stage_hedges_won", c.stageHedgesWon);
+  adopt("lidc_workflow_lineage_recoveries", c.lineageRecoveries);
+  adopt("lidc_workflow_bytes_moved", c.bytesMoved);
   telemetry_ = std::make_unique<Telemetry>();
-  telemetry_->runs = &registry.counter("lidc_workflow_runs");
-  telemetry_->runsSucceeded = &registry.counter("lidc_workflow_runs_succeeded");
-  telemetry_->runsFailed = &registry.counter("lidc_workflow_runs_failed");
-  telemetry_->stagesDispatched =
-      &registry.counter("lidc_workflow_stages_dispatched");
-  telemetry_->stagesDispatched->set(stages_dispatched_);
-  telemetry_->stageRetries = &registry.counter("lidc_workflow_stage_retries");
-  telemetry_->stageHedges = &registry.counter("lidc_workflow_stage_hedges");
-  telemetry_->stageHedges->set(stage_hedges_);
-  telemetry_->stageHedgesWon =
-      &registry.counter("lidc_workflow_stage_hedges_won");
-  telemetry_->stageHedgesWon->set(stage_hedges_won_);
-  telemetry_->lineageRecoveries =
-      &registry.counter("lidc_workflow_lineage_recoveries");
-  telemetry_->bytesMoved = &registry.counter("lidc_workflow_bytes_moved");
-  telemetry_->bytesMoved->set(bytes_moved_);
   telemetry_->makespanUs = &registry.histogram("lidc_workflow_makespan_us");
   telemetry_->tracer = tracer;
 }

@@ -161,6 +161,19 @@ struct WorkflowOutcome {
   std::string trace;
 };
 
+/// Engine activity across all runs, exported once telemetry is attached.
+struct WorkflowCounters {
+  telemetry::Counter runs;
+  telemetry::Counter runsSucceeded;
+  telemetry::Counter runsFailed;
+  telemetry::Counter stagesDispatched;
+  telemetry::Counter stageRetries;
+  telemetry::Counter stageHedges;  // straggler hedges launched
+  telemetry::Counter stageHedgesWon;  // ... and won by the backup leg
+  telemetry::Counter lineageRecoveries;
+  telemetry::Counter bytesMoved;  // intermediate bytes fetched + republished
+};
+
 class WorkflowEngine {
  public:
   explicit WorkflowEngine(core::LidcClient& client, WorkflowOptions options = {});
@@ -184,19 +197,16 @@ class WorkflowEngine {
     return predictor_;
   }
 
-  /// Intermediate bytes moved across all runs of this engine.
-  [[nodiscard]] std::uint64_t bytesMoved() const noexcept { return bytes_moved_; }
+  [[nodiscard]] const WorkflowCounters& counters() const noexcept { return *counters_; }
   [[nodiscard]] std::uint64_t stagesDispatched() const noexcept {
-    return stages_dispatched_;
+    return counters_->stagesDispatched;
   }
-  /// Straggler hedges launched / won by the backup leg.
-  [[nodiscard]] std::uint64_t stageHedges() const noexcept { return stage_hedges_; }
-  [[nodiscard]] std::uint64_t stageHedgesWon() const noexcept {
-    return stage_hedges_won_;
+  [[nodiscard]] std::uint64_t stageHedges() const noexcept {
+    return counters_->stageHedges;
   }
 
-  /// Mirrors engine activity into `registry` (runs, stage dispatches/
-  /// retries, lineage recoveries, bytes moved, makespan histogram). With
+  /// Exports WorkflowCounters into `registry` (lidc_workflow_*) plus a
+  /// makespan histogram. With
   /// a tracer every run() opens a root "workflow" span; stage spans and
   /// the client/forwarder/gateway/K8s spans beneath them all share it.
   void attachTelemetry(telemetry::MetricsRegistry& registry,
@@ -238,15 +248,6 @@ class WorkflowEngine {
 
   /// Registry handles + tracer; null until attachTelemetry().
   struct Telemetry {
-    telemetry::Counter* runs = nullptr;
-    telemetry::Counter* runsSucceeded = nullptr;
-    telemetry::Counter* runsFailed = nullptr;
-    telemetry::Counter* stagesDispatched = nullptr;
-    telemetry::Counter* stageRetries = nullptr;
-    telemetry::Counter* stageHedges = nullptr;
-    telemetry::Counter* stageHedgesWon = nullptr;
-    telemetry::Counter* lineageRecoveries = nullptr;
-    telemetry::Counter* bytesMoved = nullptr;
     telemetry::Histogram* makespanUs = nullptr;
     telemetry::Tracer* tracer = nullptr;
   };
@@ -254,10 +255,7 @@ class WorkflowEngine {
   core::LidcClient& client_;
   WorkflowOptions options_;
   core::CompletionTimePredictor predictor_;
-  std::uint64_t bytes_moved_ = 0;
-  std::uint64_t stages_dispatched_ = 0;
-  std::uint64_t stage_hedges_ = 0;
-  std::uint64_t stage_hedges_won_ = 0;
+  std::shared_ptr<WorkflowCounters> counters_ = std::make_shared<WorkflowCounters>();
   std::unique_ptr<Telemetry> telemetry_;
 };
 

@@ -71,9 +71,9 @@ TEST(ClientHedgingTest, SlowAckFiresHedgeAndLoserIsCancelledNotWon) {
   world.sim.run();
 
   EXPECT_TRUE(submitted);
-  EXPECT_EQ(world.client->hedgesIssued(), 1u);
-  EXPECT_EQ(world.client->hedgesWon(), 0u);      // primary won the race
-  EXPECT_EQ(world.client->hedgesCancelled(), 1u);  // loser ack arrived late
+  EXPECT_EQ(world.client->counters().hedgesIssued, 1u);
+  EXPECT_EQ(world.client->counters().hedgesWon, 0u);      // primary won the race
+  EXPECT_EQ(world.client->counters().hedgesCancelled, 1u);  // loser ack arrived late
   // Two legs, no retries: exactly two submit attempts in the log.
   EXPECT_EQ(world.client->submitAttemptLog().size(), 2u);
 }
@@ -99,15 +99,16 @@ TEST(ClientHedgingTest, HedgeWinsWhenPrimaryInterestIsLost) {
   world.sim.run();
 
   ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(world.client->hedgesIssued(), 1u);
-  EXPECT_EQ(world.client->hedgesWon(), 1u);
-  EXPECT_EQ(world.client->hedgesCancelled(), 0u);  // the primary never answered
+  EXPECT_EQ(world.client->counters().hedgesIssued, 1u);
+  EXPECT_EQ(world.client->counters().hedgesWon, 1u);
+  // The primary never answered.
+  EXPECT_EQ(world.client->counters().hedgesCancelled, 0u);
   // The hedge rescued the attempt well before the primary's lifetime
   // would have burned a retry.
   EXPECT_EQ(world.client->submitAttemptLog().size(), 2u);
   // A hedge can never be both won and cancelled.
-  EXPECT_LE(world.client->hedgesWon() + world.client->hedgesCancelled(),
-            world.client->hedgesIssued());
+  const core::ClientCounters& c = world.client->counters();
+  EXPECT_LE(c.hedgesWon + c.hedgesCancelled, c.hedgesIssued);
 }
 
 TEST(ClientHedgingTest, HedgingOffIssuesNoHedges) {
@@ -119,7 +120,7 @@ TEST(ClientHedgingTest, HedgingOffIssuesNoHedges) {
   });
   world.sim.run();
   EXPECT_TRUE(submitted);
-  EXPECT_EQ(world.client->hedgesIssued(), 0u);
+  EXPECT_EQ(world.client->counters().hedgesIssued, 0u);
   EXPECT_EQ(world.client->submitAttemptLog().size(), 1u);
 }
 
@@ -178,8 +179,8 @@ TEST(ClientHedgingTest, WatchdogEscapesGrayGatewayAndFailsOver) {
   EXPECT_EQ(outcome->finalStatus.state, k8s::JobState::kCompleted);
   EXPECT_EQ(outcome->finalStatus.cluster, "good");
   EXPECT_GE(outcome->failovers, 1);
-  EXPECT_GE(client.watchdogTimeouts(), 1u);
-  EXPECT_GE(client.breakerTrips(), 1u);
+  EXPECT_GE(client.counters().watchdogTimeouts, 1u);
+  EXPECT_GE(client.counters().breakerTrips, 1u);
   EXPECT_GE(gray->gateway().counters().grayAdmitted, 1u);
   EXPECT_TRUE(placement.breakerOpen("gray"));
 }

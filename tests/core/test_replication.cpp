@@ -79,7 +79,7 @@ TEST_F(ReplicationTest, ReplicatesObjectOverNdn) {
   EXPECT_TRUE(fresh_->store().contains(object));
   // Byte-identical copies.
   EXPECT_EQ(*fresh_->store().get(object), *seeded_->store().get(object));
-  EXPECT_EQ(staging_->staged(), 1u);
+  EXPECT_EQ(staging_->counters().staged, 1u);
   EXPECT_GT(staging_->bytesMoved(), 0u);
 }
 
@@ -89,7 +89,7 @@ TEST_F(ReplicationTest, AlreadyPresentIsNoop) {
   sim_.run();
   ASSERT_TRUE(done->has_value());
   EXPECT_TRUE((*done)->ok());
-  EXPECT_EQ(staging_->staged(), 0u);
+  EXPECT_EQ(staging_->counters().staged, 0u);
   EXPECT_EQ(staging_->localHits(), 1u);
 }
 
@@ -116,7 +116,7 @@ TEST_F(ReplicationTest, BatchReplicationReportsOnce) {
   sim_.run();
   ASSERT_EQ(callbacks.size(), 3u);
   for (const auto& [uri, count] : callbacks) EXPECT_EQ(count, 1) << uri;
-  EXPECT_EQ(staging_->staged(), 3u);
+  EXPECT_EQ(staging_->counters().staged, 3u);
 }
 
 TEST_F(ReplicationTest, FailedObjectDoesNotAbortSiblings) {
@@ -129,7 +129,7 @@ TEST_F(ReplicationTest, FailedObjectDoesNotAbortSiblings) {
   EXPECT_FALSE((*ghost)->ok());
   ASSERT_TRUE(ref->has_value() && rice->has_value());
   EXPECT_TRUE((*ref)->ok() && (*rice)->ok());
-  EXPECT_EQ(staging_->staged(), 2u);
+  EXPECT_EQ(staging_->counters().staged, 2u);
   EXPECT_EQ(staging_->failures(), 1u);
   EXPECT_TRUE(fresh_->store().contains(ndn::Name("/ndn/k8s/data/human-ref")));
   EXPECT_TRUE(fresh_->store().contains(ndn::Name("/ndn/k8s/data/SRR2931415")));

@@ -13,6 +13,7 @@
 #include "core/client.hpp"
 #include "core/overlay.hpp"
 #include "core/semantic_name.hpp"
+#include "sim/chaos.hpp"
 
 namespace lidc::core {
 namespace {
@@ -199,6 +200,46 @@ TEST(StatusGcTest, ForgettingAPendingOrRunningJobDeletesNothing) {
   EXPECT_EQ(rig.k8sJob(pending.jobId)->status().state, k8s::JobState::kCompleted);
   EXPECT_EQ(rig.k8sJob(running.jobId)->status().state, k8s::JobState::kCompleted);
   EXPECT_EQ(rig.cc->cluster().totalAllocated(), k8s::Resources{});
+}
+
+TEST(StatusGcTest, ReapedPendingJobIsDeletedOnceItFinishes) {
+  GcRig rig(sim::Duration::minutes(2));
+  ComputeRequest request;
+  request.app = "long";
+  request.cpu = MilliCpu::fromCores(1);
+  request.memory = ByteSize::fromGiB(1);
+  request.params["retries"] = "1";  // the node's death leaves a Pending retry
+  std::optional<Result<SubmitResult>> ack;
+  rig.client->submit(request, [&ack](Result<SubmitResult> r) { ack = std::move(r); });
+  rig.advance(sim::Duration::seconds(2));
+  ASSERT_TRUE(ack.has_value() && ack->ok());
+  const std::string jobId = (*ack)->jobId;
+  const std::string node = rig.cc->cluster().nodeNames().front();
+
+  // The only node dies: the retry waits Pending past orphanTtl and the
+  // reaper retires the job, which the cluster refuses to delete.
+  sim::ChaosEngine chaos(rig.sim);
+  chaos.nodeCrash("node-dies", rig.cc->cluster(), node,
+                  rig.sim.now() + sim::Duration::seconds(1));
+  rig.advance(sim::Duration::minutes(12));
+  EXPECT_GE(rig.cc->gateway().counters().orphansReaped, 1u);
+  EXPECT_FALSE(rig.cc->gateway().jobs().status(jobId).ok());
+  ASSERT_NE(rig.k8sJob(jobId), nullptr);
+  EXPECT_EQ(rig.k8sJob(jobId)->status().state, k8s::JobState::kPending);
+
+  // The node heals and the retry runs to completion; its status stays
+  // retired.
+  rig.cc->cluster().setNodeReady(node, true);
+  rig.advance(sim::Duration::minutes(25));
+  ASSERT_NE(rig.k8sJob(jobId), nullptr);
+  EXPECT_EQ(rig.k8sJob(jobId)->status().state, k8s::JobState::kCompleted);
+  EXPECT_FALSE(rig.cc->gateway().jobs().status(jobId).ok());
+
+  // Past retention, the next reaper sweep (armed by a new launch)
+  // deletes the finished Job.
+  rig.advance(sim::Duration::minutes(3));
+  (void)rig.submitAndFinish();
+  EXPECT_EQ(rig.k8sJob(jobId), nullptr);
 }
 
 TEST(StatusGcTest, AliasOfARunningSuccessorKeepsAnsweringPastRetention) {

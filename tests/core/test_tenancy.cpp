@@ -105,6 +105,21 @@ TEST_F(TenancyTest, QuotaCapsATenant) {
   EXPECT_TRUE(submit(tenantRequest("other", 2)).ok());
 }
 
+TEST_F(TenancyTest, CompletedJobsStopCountingAgainstTheQuota) {
+  cluster_->cluster().setNamespaceQuota(
+      "tenant-small", k8s::Resources{MilliCpu::fromCores(3), ByteSize::fromGiB(8)});
+  auto first = submit(tenantRequest("small", 2));
+  ASSERT_TRUE(first.ok()) << first.status();
+  sim_.runUntil(sim_.now() + sim::Duration::seconds(70));
+  // Finished, but not yet collected by the status GC: its pod remains.
+  const k8s::Job* done = cluster_->cluster().job("tenant-small", first->jobId);
+  ASSERT_NE(done, nullptr);
+  EXPECT_EQ(done->status().state, k8s::JobState::kCompleted);
+  EXPECT_EQ(cluster_->cluster().namespaceUsage("tenant-small"), k8s::Resources{});
+  auto second = submit(tenantRequest("small", 2));
+  ASSERT_TRUE(second.ok()) << second.status();
+}
+
 TEST_F(TenancyTest, QuotaExhaustionFailsOverToAnotherCluster) {
   addCluster("backup", 40);
   cluster_->cluster().setNamespaceQuota(

@@ -218,7 +218,7 @@ TEST(FlowWeathermapTest, SaturationAndDominanceAlertsFireWithFlightWindows) {
   FlowScenario scenario;
   scenario.run();
 
-  ASSERT_GE(scenario.alerts->firedTotal(), 2u);
+  ASSERT_GE(scenario.alerts->counters().fired, 2u);
   std::map<std::string, const telemetry::Alert*> byRule;
   for (const auto& alert : scenario.alerts->alerts()) {
     byRule.emplace(alert.rule, &alert);

@@ -197,10 +197,11 @@ struct GrayScenario {
     }
     out << "corrupted=" << totalCorrupted()
         << " integrity_drops=" << totalIntegrityDrops()
-        << " watchdog=" << client->watchdogTimeouts()
-        << " trips=" << client->breakerTrips()
-        << " hedges=" << client->hedgesIssued() << "/" << client->hedgesWon()
-        << "/" << client->hedgesCancelled() << "\n";
+        << " watchdog=" << client->counters().watchdogTimeouts
+        << " trips=" << client->counters().breakerTrips
+        << " hedges=" << client->counters().hedgesIssued << "/"
+        << client->counters().hedgesWon << "/"
+        << client->counters().hedgesCancelled << "\n";
     out << chaos->traceString();
     for (const auto t : client->submitAttemptLog()) {
       out << "submit_ns=" << t.toNanos() << "\n";
@@ -243,8 +244,8 @@ TEST(GrayFailuresTest, AllJobsCompleteWithZeroCorruptResultsDelivered) {
   // The gray gateway really did bait jobs, and the watchdog + breaker
   // machinery caught it.
   EXPECT_GE(scenario.gray->gateway().counters().grayAdmitted, 1u);
-  EXPECT_GE(scenario.client->watchdogTimeouts(), 1u);
-  EXPECT_GE(scenario.client->breakerTrips(), 1u);
+  EXPECT_GE(scenario.client->counters().watchdogTimeouts, 1u);
+  EXPECT_GE(scenario.client->counters().breakerTrips, 1u);
   ASSERT_GT(scenario.submitsAtTrip, 0u) << "gray breaker never tripped";
 
   // Post-trip, >= 90% of new submissions avoid the gray cluster (the
@@ -276,7 +277,7 @@ TEST(GrayFailuresTest, AllJobsCompleteWithZeroCorruptResultsDelivered) {
   alerts.addThresholdRule("integrity-drops", R"(lidc_integrity_drops_total{node="client-host"})",
                           telemetry::AlertComparison::kAbove, 0.0);
   alerts.evaluate();
-  EXPECT_GE(alerts.firedTotal(), 1u);
+  EXPECT_GE(alerts.counters().fired, 1u);
 }
 
 TEST(GrayFailuresTest, StaleReplayWindowTogglesCacheAndIsTraced) {

@@ -251,7 +251,7 @@ TEST(HealthAlertsTest, BlackoutFiresExplainableAlertOnTheNamedPlane) {
 
   // (a) The alert fired during the blackout with a flight-recorder
   // window attached, and the post-mortem names rule + triggering series.
-  ASSERT_GE(scenario.alerts->firedTotal(), 1u);
+  ASSERT_GE(scenario.alerts->counters().fired, 1u);
   const telemetry::Alert& first = scenario.alerts->alerts()[0];
   EXPECT_EQ(first.rule, "east-health-low");
   EXPECT_EQ(first.series, "east/health");
@@ -267,7 +267,7 @@ TEST(HealthAlertsTest, BlackoutFiresExplainableAlertOnTheNamedPlane) {
   EXPECT_NE(post.find("blackout-drop"), std::string::npos) << post;
 
   // The blackout resolved after recovery: east reads healthy again.
-  EXPECT_GE(scenario.alerts->resolvedTotal(), 1u);
+  EXPECT_GE(scenario.alerts->counters().resolved, 1u);
 
   // (b) The ops host scraped the alert transition log off the named
   // plane via ordinary Interests against /ndn/k8s/telemetry/monitor.

@@ -179,7 +179,7 @@ ScenarioResult runScenario(bool crash) {
   out.ckptOverheadSeconds = eastCkpt.totalOverhead().toSeconds();
   out.survivorRestores = west->gateway().counters().ckptRestores;
   out.survivorAliasServed = west->gateway().counters().aliasServed;
-  out.repairsCompleted = repair.repairsCompleted();
+  out.repairsCompleted = repair.counters().completed;
   return out;
 }
 
@@ -308,7 +308,7 @@ TEST(MigrationIntegrationTest, RestoreFailuresColdStartAndRaiseAlert) {
   // Every attempt fell back to a cold start — no bogus restores.
   EXPECT_EQ(cc.gateway().counters().ckptRestoreFailures, 3u);
   EXPECT_EQ(cc.gateway().counters().ckptRestores, 0u);
-  EXPECT_GE(alerts.firedTotal(), 1u);
+  EXPECT_GE(alerts.counters().fired, 1u);
 }
 
 }  // namespace

@@ -257,7 +257,7 @@ TEST(QosIsolationTest, SustainedRejectionFiresAlertWithFlightWindow) {
   QosScenario scenario;
   scenario.run();
 
-  ASSERT_GE(scenario.alerts->firedTotal(), 1u);
+  ASSERT_GE(scenario.alerts->counters().fired, 1u);
   const telemetry::Alert& first = scenario.alerts->alerts()[0];
   EXPECT_EQ(first.rule, "noisy-quota-rejects");
   // The post-mortem window holds the actual QoS reject events.

@@ -205,7 +205,7 @@ TEST(ReplicaPrestageWorkflowTest, LookaheadKeepsEveryDispatchLocal) {
   // hook: one prestage per far-cluster reference input.
   EXPECT_EQ(scenario.coordinator->prestagesRequested(), 2u);
   EXPECT_EQ(scenario.coordinator->dispatchFetches(), 0u);
-  EXPECT_EQ(scenario.scheduler->staged(), 2u);
+  EXPECT_EQ(scenario.scheduler->counters().staged, 2u);
   EXPECT_EQ(scenario.scheduler->bytesMoved(), kPanelBytes + kAnnotationsBytes);
   EXPECT_TRUE(scenario.east->store().contains(lakeName(kPanelPath)));
   EXPECT_TRUE(scenario.east->store().contains(lakeName(kAnnotationsPath)));
@@ -331,7 +331,7 @@ TEST(ReplicaRepairAlertTest, CrashedClusterIsRepairedAndAlertFiresThenClears) {
   for (const ndn::Name& dataset : datasets) {
     EXPECT_EQ(directory.replicationFactor(dataset), 2u) << dataset.toUri();
   }
-  EXPECT_EQ(repair.repairsEnqueued(), 0u);
+  EXPECT_EQ(repair.counters().enqueued, 0u);
   EXPECT_EQ(alerts.firingCount(), 0u);
 
   // East crashes: its catalog and lake fall off the network. The
@@ -360,13 +360,13 @@ TEST(ReplicaRepairAlertTest, CrashedClusterIsRepairedAndAlertFiresThenClears) {
     EXPECT_EQ(*sites["south"].store->get(dataset),
               *sites["west"].store->get(dataset));
   }
-  EXPECT_GE(repair.repairsCompleted(), 2u);
-  EXPECT_EQ(repair.underReplicated(), 0u);
+  EXPECT_GE(repair.counters().completed, 2u);
+  EXPECT_EQ(repair.counters().underReplicated, 0u);
 
   // The under-replication alert fired while degraded and cleared once
   // repairs landed.
-  EXPECT_GE(alerts.firedTotal(), 1u);
-  EXPECT_GE(alerts.resolvedTotal(), 1u);
+  EXPECT_GE(alerts.counters().fired, 1u);
+  EXPECT_GE(alerts.counters().resolved, 1u);
   EXPECT_EQ(alerts.firingCount(), 0u);
   EXPECT_NE(alerts.serializedLog().find("state=fired"), std::string::npos);
   EXPECT_NE(alerts.serializedLog().find("state=resolved"), std::string::npos);

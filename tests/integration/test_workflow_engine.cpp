@@ -181,7 +181,7 @@ TEST(WorkflowEngineTest, DiamondCompletesWithConcurrentBranchesAndNoDataMovement
 
   // Locality-aware placement: intermediates were written in place and
   // consumers pulled to the cluster holding them — nothing was staged.
-  EXPECT_EQ(scenario.engine->bytesMoved(), 0u);
+  EXPECT_EQ(scenario.engine->counters().bytesMoved, 0u);
   EXPECT_EQ(outcome.intermediateBytesMoved, 0u);
   // All four stages ran on the near cluster that held prep's output.
   for (const auto& [name, st] : outcome.stages) {
@@ -474,7 +474,7 @@ TEST(WorkflowEngineTest, StragglerStageIsRescuedByHedgeLeg) {
             workflow::StageState::kCompleted);
   EXPECT_EQ((*outcome)->stages.at("only").retries, 0);
   EXPECT_EQ(engine.stageHedges(), 1u);
-  EXPECT_EQ(engine.stageHedgesWon(), 1u);
+  EXPECT_EQ(engine.counters().stageHedgesWon, 1u);
   EXPECT_EQ(invocations, 2);
   // The workflow settled on the hedge's timescale (~12 s), not the
   // straggler's 10 minutes.

@@ -1,9 +1,8 @@
 // Replica directory tests: scraping two cluster catalogs into a merged
 // view, manifest reuse when nothing changed, staleness aging instead of
-// wedging on a blacked-out cluster, periodic scraping, and the snapshot
+// wedging on a blacked-out cluster, periodic scraping, the snapshot
 // parser's tolerance of malformed lines, and a repair loop destroyed
-// mid-run (its timer and its telemetry collector), and a directory
-// destroyed before its metrics registry.
+// mid-run (its timer).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -177,27 +176,6 @@ TEST_F(ReplicaDirectoryTest, RepairLoopDestroyedMidRunLeavesNoTimerBehind) {
   EXPECT_TRUE(sim_.empty());
 }
 
-TEST_F(ReplicaDirectoryTest, RepairLoopDestroyedLeavesNoCollectorOnItBehind) {
-  telemetry::MetricsRegistry registry;
-  PlacementPolicy policy;
-  auto repair = std::make_unique<RepairLoop>(sim_, *directory_, policy);
-  repair->attachTelemetry(registry);
-  repair->start();
-  sim_.runUntil(sim_.now() + sim::Duration::seconds(3));
-  ASSERT_EQ(repair->passes(), 1u);
-  const std::uint64_t enqueued = repair->repairsEnqueued();
-  repair.reset();
-
-  // The registry outlives the loop; collecting must not read the
-  // destroyed loop, and the series keep the last counts.
-  const auto metrics = registry.flatten("lidc_replica_repair");
-  EXPECT_EQ(metrics.at("lidc_replica_repairs_enqueued_total"),
-            static_cast<double>(enqueued));
-  EXPECT_EQ(metrics.at("lidc_replica_repair_failures_total"), 0.0);
-  sim_.run();
-  EXPECT_TRUE(sim_.empty());
-}
-
 TEST_F(ReplicaDirectoryTest, TelemetryMirrorsCounters) {
   eastCatalog_->markReady(kDatasetA, 100);
   telemetry::MetricsRegistry registry;
@@ -208,22 +186,6 @@ TEST_F(ReplicaDirectoryTest, TelemetryMirrorsCounters) {
   EXPECT_EQ(metrics.at("lidc_replica_directory_scrapes_total"), 2.0);
   EXPECT_EQ(metrics.at("lidc_replica_directory_snapshots_fetched_total"), 2.0);
   EXPECT_EQ(metrics.at("lidc_replica_directory_stale_clusters"), 0.0);
-}
-
-TEST_F(ReplicaDirectoryTest, DirectoryDestroyedLeavesNoCollectorOnItBehind) {
-  eastCatalog_->markReady(kDatasetA, 100);
-  telemetry::MetricsRegistry registry;
-  directory_->attachTelemetry(registry);
-  scrape();
-  const auto last = registry.flatten("lidc_replica_directory");
-  directory_.reset();
-
-  // The registry outlives the directory; collecting must not read the
-  // destroyed directory, and the series keep their last values.
-  EXPECT_EQ(registry.flatten("lidc_replica_directory"), last);
-  EXPECT_EQ(last.at("lidc_replica_directory_scrapes_total"), 2.0);
-  sim_.run();
-  EXPECT_TRUE(sim_.empty());
 }
 
 TEST(ParseReplicaMapTest, SkipsMalformedLines) {

@@ -2,8 +2,7 @@
 // a level, join-dedup of concurrent requests, cancellation of queued
 // and in-flight transfers, capacity rejection surfaced as
 // ResourceExhausted, tenant attribution through the store's quota
-// charger, the bandwidth budget serializing starts, and a scheduler
-// destroyed before its metrics registry.
+// charger, and the bandwidth budget serializing starts.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -103,7 +102,7 @@ TEST_F(TransferSchedulerTest, StagesAndSyncsCatalog) {
   ASSERT_TRUE(status.has_value());
   EXPECT_TRUE(status->ok()) << *status;
   EXPECT_EQ(bytes, 2048u);
-  EXPECT_EQ(scheduler_->staged(), 1u);
+  EXPECT_EQ(scheduler_->counters().staged, 1u);
   EXPECT_EQ(scheduler_->bytesMoved(), 2048u);
   EXPECT_TRUE(dstStore_->contains(ndn::Name("/ndn/k8s/data/a")));
   EXPECT_EQ(catalog.entry(ndn::Name("/ndn/k8s/data/a"))->state,
@@ -147,7 +146,7 @@ TEST_F(TransferSchedulerTest, PriorityBeatsFifoAndFifoBreaksTies) {
   ASSERT_NE(startC, std::string::npos);
   EXPECT_LT(startA, startC);
   EXPECT_LT(startC, startB);
-  EXPECT_EQ(scheduler_->staged(), 3u);
+  EXPECT_EQ(scheduler_->counters().staged, 3u);
 }
 
 TEST_F(TransferSchedulerTest, SecondRequestJoinsInsteadOfRefetching) {
@@ -174,8 +173,8 @@ TEST_F(TransferSchedulerTest, SecondRequestJoinsInsteadOfRefetching) {
                       });
   sim_.run();
 
-  EXPECT_EQ(scheduler_->joined(), 1u);
-  EXPECT_EQ(scheduler_->staged(), 2u);  // a and b, b fetched once
+  EXPECT_EQ(scheduler_->counters().joined, 1u);
+  EXPECT_EQ(scheduler_->counters().staged, 2u);  // a and b, b fetched once
   EXPECT_EQ(firings, 2);
   EXPECT_EQ(firstBytes, 2048u);
   EXPECT_EQ(secondBytes, 2048u);
@@ -199,7 +198,7 @@ TEST_F(TransferSchedulerTest, CancelAbortsQueuedTransfer) {
   EXPECT_FALSE(scheduler_->cancel(ndn::Name("/ndn/k8s/data/a")));
 
   sim_.run();
-  EXPECT_EQ(scheduler_->cancelled(), 1u);
+  EXPECT_EQ(scheduler_->counters().cancelled, 1u);
   EXPECT_FALSE(dstStore_->contains(ndn::Name("/ndn/k8s/data/b")));
   EXPECT_TRUE(dstStore_->contains(ndn::Name("/ndn/k8s/data/a")));
 }
@@ -227,7 +226,7 @@ TEST_F(TransferSchedulerTest, CancelTagSweepsQueuedAndInFlight) {
   sim_.run();
   ASSERT_EQ(statuses.count("a"), 1u);
   EXPECT_EQ(statuses.at("a").code(), StatusCode::kAborted);
-  EXPECT_EQ(scheduler_->staged(), 0u);
+  EXPECT_EQ(scheduler_->counters().staged, 0u);
   EXPECT_EQ(scheduler_->bytesMoved(), 0u);
   EXPECT_FALSE(dstStore_->contains(ndn::Name("/ndn/k8s/data/a")));
   EXPECT_FALSE(dstStore_->contains(ndn::Name("/ndn/k8s/data/b")));
@@ -244,8 +243,8 @@ TEST_F(TransferSchedulerTest, OverCapacityLakeRejectsWithResourceExhausted) {
 
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(status->code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(scheduler_->capacityRejects(), 1u);
-  EXPECT_EQ(scheduler_->staged(), 0u);
+  EXPECT_EQ(scheduler_->counters().capacityRejects, 1u);
+  EXPECT_EQ(scheduler_->counters().staged, 0u);
   EXPECT_FALSE(dstStore_->contains(ndn::Name("/ndn/k8s/data/a")));
 }
 
@@ -281,7 +280,7 @@ TEST_F(TransferSchedulerTest, TenantChargedThroughQuotaCharger) {
   EXPECT_EQ(charged.at("astro"), 2048u);
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(status->code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(scheduler_->capacityRejects(), 1u);
+  EXPECT_EQ(scheduler_->counters().capacityRejects, 1u);
   EXPECT_FALSE(dstStore_->contains(ndn::Name("/ndn/k8s/data/c")));
 }
 
@@ -290,7 +289,7 @@ TEST_F(TransferSchedulerTest, WithoutBudgetSecondTransferStartsImmediately) {
   options.maxConcurrent = 1;
   makeScheduler(options);
   EXPECT_LT(spreadOfTwoTransfers(), 2.0);
-  EXPECT_EQ(scheduler_->staged(), 2u);
+  EXPECT_EQ(scheduler_->counters().staged, 2u);
 }
 
 TEST_F(TransferSchedulerTest, BandwidthBudgetSerializesStarts) {
@@ -301,7 +300,7 @@ TEST_F(TransferSchedulerTest, BandwidthBudgetSerializesStarts) {
   options.bandwidthBytesPerSec = 1024;
   makeScheduler(options);
   EXPECT_GE(spreadOfTwoTransfers(), 2.0);
-  EXPECT_EQ(scheduler_->staged(), 2u);
+  EXPECT_EQ(scheduler_->counters().staged, 2u);
 }
 
 TEST_F(TransferSchedulerTest, FlowLedgerMatchesBytesMovedExactly) {
@@ -324,7 +323,7 @@ TEST_F(TransferSchedulerTest, FlowLedgerMatchesBytesMovedExactly) {
   scheduler_->enqueue(ndn::Name("/ndn/k8s/data/c"));
   sim_.run();
 
-  EXPECT_EQ(scheduler_->staged(), 2u);
+  EXPECT_EQ(scheduler_->counters().staged, 2u);
   EXPECT_EQ(scheduler_->localHits(), 1u);
   EXPECT_EQ(scheduler_->bytesMoved(), 4096u);
 #if !defined(LIDC_TELEMETRY_DISABLED)
@@ -355,28 +354,6 @@ TEST_F(TransferSchedulerTest, UnreachableDatasetFailsLoudly) {
   EXPECT_EQ(scheduler_->failures(), 1u);
   EXPECT_NE(scheduler_->eventLog().find("fail /ndn/k8s/data/ghost"),
             std::string::npos);
-}
-
-TEST_F(TransferSchedulerTest, SchedulerDestroyedLeavesNoCollectorOnItBehind) {
-  makeScheduler();
-  telemetry::MetricsRegistry registry;
-  scheduler_->attachTelemetry(registry);
-  scheduler_->enqueue(ndn::Name("/ndn/k8s/data/a"));
-  sim_.run();
-  const auto last = registry.flatten("lidc_replica_");
-  scheduler_.reset();
-
-  // The registry outlives the scheduler; collecting must not read the
-  // destroyed scheduler, and the series keep their last values.
-  EXPECT_EQ(registry.flatten("lidc_replica_"), last);
-  ASSERT_EQ(last.size(), 4u);
-  for (const auto& [series, value] : last) {
-    if (series.starts_with("lidc_replica_staged_total")) {
-      EXPECT_EQ(value, 1.0);
-    } else if (series.starts_with("lidc_replica_bytes_moved_total")) {
-      EXPECT_EQ(value, 2048.0);
-    }
-  }
 }
 
 }  // namespace

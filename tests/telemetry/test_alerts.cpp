@@ -35,12 +35,12 @@ TEST_F(AlertEngineTest, ThresholdRuleFiresAfterForCountAndResolves) {
   EXPECT_EQ(engine.firingCount(), 0u);
   EXPECT_EQ(engine.evaluate(), 1);  // 2nd: fires
   EXPECT_EQ(engine.firingCount(), 1u);
-  EXPECT_EQ(engine.firedTotal(), 1u);
+  EXPECT_EQ(engine.counters().fired, 1u);
 
   values["nacks"] = 5.0;
   EXPECT_EQ(engine.evaluate(), 1);  // resolves immediately
   EXPECT_EQ(engine.firingCount(), 0u);
-  EXPECT_EQ(engine.resolvedTotal(), 1u);
+  EXPECT_EQ(engine.counters().resolved, 1u);
 
   ASSERT_EQ(engine.alerts().size(), 1u);
   const Alert& alert = engine.alerts()[0];
@@ -127,8 +127,8 @@ TEST_F(AlertEngineTest, SloRuleFiresOnSustainedBurn) {
   sim.run();
 
   EXPECT_TRUE(firedDuringOutage);
-  EXPECT_GE(engine.firedTotal(), 1u);
-  EXPECT_GT(engine.evaluations(), 20u);
+  EXPECT_GE(engine.counters().fired, 1u);
+  EXPECT_GT(engine.counters().evaluations, 20u);
 }
 
 TEST_F(AlertEngineTest, AnomalyRuleFlagsLevelShift) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -100,17 +101,70 @@ TEST(MetricsTest, SnapshotFiltersByPrefixAndOrders) {
 
 TEST(MetricsTest, CollectorRunsBeforeSnapshotAndMayCreateInstruments) {
   MetricsRegistry registry;
-  std::uint64_t legacy = 7;
-  registry.registerCollector([&registry, &legacy] {
+  std::uint64_t derived = 7;
+  const CollectorHandle handle = registry.registerCollector([&registry, &derived] {
     // Creating the instrument inside the collector must not deadlock.
-    registry.counter("lidc_legacy_total").set(legacy);
+    registry.counter("lidc_derived_total").set(derived);
   });
   auto snaps = registry.snapshot();
   ASSERT_EQ(snaps.size(), 1u);
   EXPECT_DOUBLE_EQ(snaps[0].value, 7.0);
-  legacy = 11;
+  derived = 11;
   snaps = registry.snapshot();
   EXPECT_DOUBLE_EQ(snaps[0].value, 11.0);
+}
+
+TEST(MetricsTest, CollectorStopsRunningWhenItsHandleDies) {
+  MetricsRegistry registry;
+  int runs = 0;
+  CollectorHandle handle = registry.registerCollector([&runs] { ++runs; });
+  (void)registry.snapshot();
+  EXPECT_EQ(runs, 1);
+  handle.reset();
+  (void)registry.snapshot();
+  (void)registry.toPrometheus();
+  EXPECT_EQ(runs, 1);
+}
+
+TEST(MetricsTest, AdoptedCounterIsTheComponentsOwnCount) {
+  MetricsRegistry registry;
+  auto owned = std::make_shared<Counter>();
+  owned->inc(3);  // counted before the attach
+  registry.adopt("lidc_owned_total", {{"node", "n1"}}, owned);
+  owned->inc(2);
+  EXPECT_EQ(&registry.counter("lidc_owned_total", {{"node", "n1"}}), owned.get());
+  EXPECT_EQ(registry.flatten().at("lidc_owned_total{node=\"n1\"}"), 5.0);
+
+  // The registry shares ownership: the series outlives the component.
+  owned.reset();
+  EXPECT_EQ(registry.flatten().at("lidc_owned_total{node=\"n1\"}"), 5.0);
+}
+
+TEST(MetricsTest, AdoptReplacesTheExportedCounterAndKeepsOldReferencesValid) {
+  MetricsRegistry registry;
+  Counter& first = registry.counter("lidc_events_total");
+  first.inc(4);
+  auto adopted = std::make_shared<Counter>();
+  adopted->inc(1);
+  registry.adopt("lidc_events_total", {}, adopted);
+  first.inc();  // still a valid reference, no longer exported
+  EXPECT_EQ(first.value(), 5u);
+  EXPECT_EQ(registry.flatten().at("lidc_events_total"), 1.0);
+  EXPECT_EQ(registry.size(), 1u);
+}
+
+TEST(MetricsTest, CounterReadsAndCopiesAsItsValue) {
+  Counter c;
+  c.inc(41);
+  c.inc();
+  const std::uint64_t asInt = c;
+  EXPECT_EQ(asInt, 42u);
+  EXPECT_EQ(c + c, 84u);
+  EXPECT_EQ(static_cast<double>(c), 42.0);
+  const Counter snapshot = c;
+  c.inc();
+  EXPECT_EQ(snapshot, 42u);
+  EXPECT_EQ(c, 43u);
 }
 
 TEST(MetricsTest, PrometheusRoundTrip) {
